@@ -13,8 +13,7 @@ import (
 // one-per-worker.
 func BenchmarkWorldBuild(b *testing.B) {
 	for _, name := range []string{"small", "paper-2018"} {
-		sc := MustLookupScenario(name)
-		cfg, err := sc.lower().Compile()
+		cfg, err := ispnet.Compile(MustLookupScenario(name))
 		if err != nil {
 			b.Fatal(err)
 		}

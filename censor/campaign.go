@@ -290,10 +290,7 @@ func withFreshReplicaWorlds() Option {
 // pay none at all — the shape the censord scheduler leans on for its
 // recurring runs.
 func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stream, error) {
-	cfg := s.cfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := s.cfg.with(opts)
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
@@ -301,8 +298,8 @@ func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stre
 	// replica worlds must mirror the session world that supplied the
 	// domain list and validated the vantages, or the determinism contract
 	// (and the catalog itself) breaks.
-	if !reflect.DeepEqual(cfg.world, s.cfg.world) {
-		return nil, fmt.Errorf("censor: world options (WithScenario/WithScale/WithSeed) are fixed per session; start a new Session instead")
+	if !reflect.DeepEqual(cfg.scenario, s.cfg.scenario) {
+		return nil, fmt.Errorf("censor: world options (WithScenario/WithSeed) are fixed per session; start a new Session instead")
 	}
 	for _, name := range cfg.vantages {
 		if s.world.ISP(name) == nil {
@@ -399,7 +396,7 @@ func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stre
 					if world != nil {
 						cPoolHits.Inc()
 					} else {
-						world = newReplicaWorld(cfg.world)
+						world = newReplicaWorld(s.world.Cfg)
 						cBuilds.Inc()
 					}
 				}

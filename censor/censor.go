@@ -26,12 +26,14 @@
 // Worlds are built from scenarios: a [Scenario] is a JSON-serializable
 // spec of global sizing plus per-ISP censorship behaviour (mechanism,
 // middlebox deployment and consistency, blocklists, resolver poisoning,
-// transit links), compiled to a packet-level world by [WithScenario].
-// Presets live in their own registry ([RegisterScenario] /
-// [LookupScenario] / [Scenarios]): "paper-2018" and "small" are the
-// paper's calibration, and "dns-only", "all-interceptive" and
-// "no-censorship" cover regimes the study never observed. The paper is
-// one point in the scenario space, not the shape of the API.
+// transit links), compiled to a packet-level world by [NewSession]. The
+// schema is defined once in the leaf package repro/scenario; censor
+// re-exports its types under the same names. Presets live in their own
+// registry ([RegisterScenario] / [LookupScenario] / [Scenarios]):
+// "paper-2018" and "small" are the paper's calibration, and "dns-only",
+// "all-interceptive" and "no-censorship" cover regimes the study never
+// observed. The paper is one point in the scenario space, not the shape
+// of the API.
 //
 // A typical session:
 //
@@ -66,18 +68,6 @@ import (
 	"repro/obs"
 )
 
-// Scale selects a world size.
-type Scale int
-
-// The two calibrated world sizes.
-const (
-	// ScalePaper is the paper-scale world: 1200 potentially blocked
-	// websites, Alexa 1000, 40 vantage points, the nine ISPs plus TATA.
-	ScalePaper Scale = iota
-	// ScaleSmall is the reduced world for experimentation and tests.
-	ScaleSmall
-)
-
 // StudyISPs are the nine ISPs of the study, in the paper's order: the
 // default vantage set for campaigns.
 var StudyISPs = []string{
@@ -86,8 +76,10 @@ var StudyISPs = []string{
 
 // config carries session and campaign settings; Options mutate it.
 type config struct {
-	world    ispnet.Config
 	scenario Scenario
+	// seed, when set by WithSeed, overrides the scenario's seed once every
+	// option has run, so the option order does not matter.
+	seed     *int64
 	err      error // deferred option error, surfaced by NewSession/Run
 	timeout  time.Duration
 	attempts int
@@ -114,7 +106,6 @@ type config struct {
 func defaultConfig() config {
 	return config{
 		scenario: mustScenario("paper-2018"),
-		world:    ispnet.DefaultConfig(),
 		timeout:  3 * time.Second,
 		workers:  1,
 	}
@@ -123,51 +114,32 @@ func defaultConfig() config {
 // Option configures a Session or overrides its defaults for one campaign.
 type Option func(*config)
 
+// with returns c with opts applied, then any WithSeed seed applied to
+// the scenario.
+func (c config) with(opts []Option) config {
+	for _, o := range opts {
+		o(&c)
+	}
+	if c.seed != nil {
+		c.scenario.Seed = *c.seed
+	}
+	return c
+}
+
 // WithScenario builds the session's world from a scenario spec — a
 // registered preset from LookupScenario, or any Scenario the caller
-// defined in Go or unmarshalled from JSON. The spec is validated and
-// compiled here; an invalid one fails NewSession with the validation
-// error. The scenario's Vantages (or, when empty, its full ISP list)
-// becomes the default campaign vantage set unless WithVantages overrides
-// it.
+// defined in Go or unmarshalled from JSON. NewSession validates and
+// compiles the spec; an invalid one fails it with the validation error.
+// The scenario's Vantages (or, when empty, its full ISP list) becomes the
+// default campaign vantage set unless WithVantages overrides it.
 func WithScenario(s Scenario) Option {
-	return func(c *config) {
-		// Full spec validation (including the censor-layer Vantages
-		// field), then the lowering to a world config.
-		if err := s.Validate(); err != nil {
-			c.err = fmt.Errorf("censor: %w", err)
-			return
-		}
-		world, err := s.lower().Compile()
-		if err != nil {
-			c.err = fmt.Errorf("censor: %w", err)
-			return
-		}
-		c.world = world
-		c.scenario = s.Clone()
-	}
+	return func(c *config) { c.scenario = s.Clone() }
 }
 
-// WithScale picks one of the calibrated world sizes.
-//
-// Deprecated: scales are just the two paper presets now — use
-// WithScenario with LookupScenario("paper-2018") or
-// LookupScenario("small"), which also opens every other preset and custom
-// world.
-func WithScale(s Scale) Option {
-	name := "paper-2018"
-	if s == ScaleSmall {
-		name = "small"
-	}
-	return WithScenario(mustScenario(name))
-}
-
-// WithSeed reseeds the world's deterministic engine.
+// WithSeed reseeds the world's deterministic engine, whether it comes
+// before or after WithScenario.
 func WithSeed(seed int64) Option {
-	return func(c *config) {
-		c.world.Seed = seed
-		c.scenario.Seed = seed
-	}
+	return func(c *config) { c.seed = &seed }
 }
 
 // WithTimeout bounds every network wait a probe performs.
@@ -325,12 +297,13 @@ func NewSession(ctx context.Context, opts ...Option) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := defaultConfig().with(opts)
 	if cfg.err != nil {
 		return nil, cfg.err
+	}
+	world, err := ispnet.Compile(cfg.scenario)
+	if err != nil {
+		return nil, fmt.Errorf("censor: %w", err)
 	}
 	if cfg.vantages == nil {
 		cfg.vantages = defaultVantages(cfg.scenario)
@@ -338,11 +311,11 @@ func NewSession(ctx context.Context, opts ...Option) (*Session, error) {
 	// Validate vantages against the profile list before paying for the
 	// world build, so a typo fails instantly even at paper scale — the
 	// error lists what this world offers.
-	avail := make([]string, 0, len(cfg.world.Profiles))
-	known := make(map[string]bool, len(cfg.world.Profiles))
-	for i := range cfg.world.Profiles {
-		avail = append(avail, cfg.world.Profiles[i].Name)
-		known[cfg.world.Profiles[i].Name] = true
+	avail := make([]string, 0, len(world.Profiles))
+	known := make(map[string]bool, len(world.Profiles))
+	for i := range world.Profiles {
+		avail = append(avail, world.Profiles[i].Name)
+		known[world.Profiles[i].Name] = true
 	}
 	for _, name := range cfg.vantages {
 		if !known[name] {
@@ -350,7 +323,7 @@ func NewSession(ctx context.Context, opts ...Option) (*Session, error) {
 				name, strings.Join(avail, ", "))
 		}
 	}
-	return &Session{cfg: cfg, world: ispnet.NewWorld(cfg.world)}, nil
+	return &Session{cfg: cfg, world: ispnet.NewWorld(world)}, nil
 }
 
 // World exposes the session's shared world (in-repo callers: oracle

@@ -3,13 +3,16 @@ package censor
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/apisurface"
+	"repro/internal/ispnet"
 )
 
 // presetSession builds a session for a preset by name.
@@ -52,7 +55,7 @@ func campaignJSONL(t *testing.T, s *Session, workers int, domains []string, opts
 
 // TestScenarioPresetRoundTrip is the preset contract: every registered
 // scenario survives JSON marshal → unmarshal → Validate with an identical
-// world — same compiled config, and a byte-identical golden campaign.
+// value and a byte-identical golden campaign.
 func TestScenarioPresetRoundTrip(t *testing.T) {
 	for _, name := range Scenarios() {
 		name := name
@@ -68,17 +71,6 @@ func TestScenarioPresetRoundTrip(t *testing.T) {
 			}
 			if err := back.Validate(); err != nil {
 				t.Fatalf("Validate after round trip: %v", err)
-			}
-			wantCfg, err := sc.lower().Compile()
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			gotCfg, err := back.lower().Compile()
-			if err != nil {
-				t.Fatalf("Compile after round trip: %v", err)
-			}
-			if !reflect.DeepEqual(gotCfg, wantCfg) {
-				t.Fatal("compiled config changed across JSON round trip")
 			}
 			if !reflect.DeepEqual(back, sc) {
 				t.Fatal("scenario value changed across JSON round trip")
@@ -180,18 +172,67 @@ func TestScenarioVantages(t *testing.T) {
 	}
 }
 
-// TestWithScaleShim: the deprecated WithScale is exactly the presets.
-func TestWithScaleShim(t *testing.T) {
-	//lint:ignore SA1019 the deprecated shim is exactly what this test pins
-	s, err := NewSession(context.Background(), WithScale(ScaleSmall))
-	if err != nil {
-		t.Fatalf("NewSession(WithScale): %v", err)
+// presetDigests are SHA-256 digests of each built-in preset's JSON and
+// of its compiled world config (%#v), so neither the schema nor the
+// compiler can drift without a deliberate change here.
+var presetDigests = map[string]struct{ json, compiled string }{
+	"paper-2018":        {"c07f98ff158c0d00e7e9a396cbe6cae59d1e04d9e40f0b40510971908b2d92ee", "1738d9955421bae75d849acbf5e4409b296f917b77c2f3da78f1e8671e758927"},
+	"small":             {"00e6001642b5133465002ffd2e22bcd8755f2f952f637474fa067d8f60a007d2", "c33d93d5dc6ea76becd4abeefb1f74677d01d018e5dda84567e5401b6206086b"},
+	"paper-2018-loaded": {"1ec5a91e98368563924bf3c1eeaa25ee77be672740d6220288961dfb252e0622", "cfff68203992b2119a568ce9f2b33f88d5fb13c7efc1feb1659aceae0fd31ce2"},
+	"dns-only":          {"0e6e2058ab0c7e8888aaac2060265c764beabafa90890c34b81d4340e6fb8fc5", "1a78d7b05791b037ccfd10fd9bfad5ba47f02a89b7f16f78f6992932e83e4898"},
+	"all-interceptive":  {"fe7d6ff95ed78577fbab2f5f1b1f32c832bd19f1a41442110da97b8f407138d9", "9447203865429a1cff8920cb8216d74009decd29ac33ae7f5fff51a2ef2952e0"},
+	"no-censorship":     {"c3307c1a6a741e4e42de3fe625d865d7e087a44a7a455e947b7211f71f143201", "a573ad14d837b9a2e50f8fad7de7db5e98b35ff4ed46ce860be37e564ff9fb31"},
+}
+
+// TestScenarioPresetGoldens pins every registered preset byte for byte:
+// its JSON spec and the world config it compiles to.
+func TestScenarioPresetGoldens(t *testing.T) {
+	digest := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+	for _, name := range Scenarios() {
+		want, ok := presetDigests[name]
+		if !ok {
+			t.Errorf("preset %q has no golden digests", name)
+			continue
+		}
+		sc := MustLookupScenario(name)
+		raw, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		if got := digest(raw); got != want.json {
+			t.Errorf("%s: JSON digest = %s, want %s", name, got, want.json)
+		}
+		cfg, err := ispnet.Compile(sc)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", name, err)
+		}
+		if got := digest(fmt.Appendf(nil, "%#v", cfg)); got != want.compiled {
+			t.Errorf("%s: compiled config digest = %s, want %s", name, got, want.compiled)
+		}
 	}
-	if got := s.Scenario().Name; got != "small" {
-		t.Errorf("WithScale(ScaleSmall) scenario = %q, want small", got)
-	}
-	if got, want := s.Vantages(), StudyISPs; !reflect.DeepEqual(got, want) {
-		t.Errorf("WithScale vantages = %v, want %v", got, want)
+}
+
+// TestWithSeedOptionOrder: WithSeed reseeds the world whether it comes
+// before or after WithScenario.
+func TestWithSeedOptionOrder(t *testing.T) {
+	small := MustLookupScenario("small")
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"seed first", []Option{WithSeed(7), WithScenario(small)}},
+		{"scenario first", []Option{WithScenario(small), WithSeed(7)}},
+	} {
+		s, err := NewSession(context.Background(), tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: NewSession: %v", tc.name, err)
+		}
+		if got := s.World().Cfg.Seed; got != 7 {
+			t.Errorf("%s: world seed = %d, want 7", tc.name, got)
+		}
+		if got := s.Scenario().Seed; got != 7 {
+			t.Errorf("%s: scenario seed = %d, want 7", tc.name, got)
+		}
 	}
 }
 

@@ -225,7 +225,7 @@ func main() {
 		}
 		return
 	}
-	runTables(sess, reduced, *only, *series)
+	runTables(os.Stdout, sess, reduced, *only, *series)
 }
 
 // pickScenario resolves the world spec: a registered preset name, a
@@ -353,7 +353,7 @@ func pushResults(ctx context.Context, baseURL, scenario string, body io.Reader) 
 }
 
 // runTables renders the paper's tables and figures via the suite.
-func runTables(sess *censor.Session, quick bool, only string, series bool) {
+func runTables(w io.Writer, sess *censor.Session, quick bool, only string, series bool) {
 	opt := experiments.DefaultOptions()
 	if quick {
 		opt = experiments.QuickOptions()
@@ -369,75 +369,75 @@ func runTables(sess *censor.Session, quick bool, only string, series bool) {
 	run := func(name string) bool { return len(want) == 0 || want[name] }
 
 	if run("table1") {
-		stage(func() { fmt.Print(experiments.RenderTable1(s.Table1(experiments.OONITargets))) })
+		stage(w, func() { fmt.Fprint(w, experiments.RenderTable1(s.Table1(experiments.OONITargets))) })
 	}
 	if run("table2") {
-		stage(func() { fmt.Print(experiments.RenderTable2(s.Table2())) })
+		stage(w, func() { fmt.Fprint(w, experiments.RenderTable2(s.Table2())) })
 	}
 	if run("figure5") {
-		stage(func() {
+		stage(w, func() {
 			rows := s.Figure5()
-			fmt.Print(experiments.RenderFigure5(rows))
+			fmt.Fprint(w, experiments.RenderFigure5(rows))
 			if series {
-				dumpSeries(rows)
+				dumpSeries(w, rows)
 			}
 		})
 	}
 	if run("figure2") {
-		stage(func() {
+		stage(w, func() {
 			rows := s.Figure2()
-			fmt.Print(experiments.RenderFigure2(rows))
+			fmt.Fprint(w, experiments.RenderFigure2(rows))
 			if series {
 				for _, r := range rows {
-					fmt.Printf("# %s series (domain, %% of poisoned resolvers)\n", r.ISP)
-					printSeries(r.Scan.Series)
+					fmt.Fprintf(w, "# %s series (domain, %% of poisoned resolvers)\n", r.ISP)
+					printSeries(w, r.Scan.Series)
 				}
 			}
 		})
 	}
 	if run("table3") {
-		stage(func() { fmt.Print(experiments.RenderTable3(s.Table3())) })
+		stage(w, func() { fmt.Fprint(w, experiments.RenderTable3(s.Table3())) })
 	}
 	if run("figure1") {
-		stage(func() { fmt.Print(experiments.RenderFigure1(s.Figure1())) })
+		stage(w, func() { fmt.Fprint(w, experiments.RenderFigure1(s.Figure1())) })
 	}
 	if run("figure3") {
-		stage(func() { fmt.Print(experiments.RenderFigureTrace("Figure 3: interceptive middlebox", s.Figure3())) })
+		stage(w, func() { fmt.Fprint(w, experiments.RenderFigureTrace("Figure 3: interceptive middlebox", s.Figure3())) })
 	}
 	if run("figure4") {
-		stage(func() { fmt.Print(experiments.RenderFigureTrace("Figure 4: wiretap middlebox", s.Figure4())) })
+		stage(w, func() { fmt.Fprint(w, experiments.RenderFigureTrace("Figure 4: wiretap middlebox", s.Figure4())) })
 	}
 	if run("section31") {
-		stage(func() {
-			fmt.Print(experiments.RenderSection31(s.Section31(experiments.OONITargets)))
+		stage(w, func() {
+			fmt.Fprint(w, experiments.RenderSection31(s.Section31(experiments.OONITargets)))
 		})
 	}
 	if run("section5") {
-		stage(func() { fmt.Print(experiments.RenderSection5(s.Section5())) })
+		stage(w, func() { fmt.Fprint(w, experiments.RenderSection5(s.Section5())) })
 	}
 }
 
-func stage(fn func()) {
+func stage(w io.Writer, fn func()) {
 	t := time.Now()
 	fn()
 	fmt.Fprintf(os.Stderr, "[%v]\n", time.Since(t))
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func dumpSeries(rows []experiments.Figure5Row) {
+func dumpSeries(w io.Writer, rows []experiments.Figure5Row) {
 	for _, r := range rows {
-		fmt.Printf("# %s series (domain, %% of poisoned paths)\n", r.ISP)
-		printSeries(r.Series)
+		fmt.Fprintf(w, "# %s series (domain, %% of poisoned paths)\n", r.ISP)
+		printSeries(w, r.Series)
 	}
 }
 
-func printSeries(series map[string]float64) {
+func printSeries(w io.Writer, series map[string]float64) {
 	keys := make([]string, 0, len(series))
 	for k := range series {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("%s\t%.1f\n", k, series[k])
+		fmt.Fprintf(w, "%s\t%.1f\n", k, series[k])
 	}
 }

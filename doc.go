@@ -14,9 +14,11 @@
 // concurrent deterministic campaigns streaming to pluggable sinks (JSONL,
 // CSV, in-memory aggregation). The library underneath lives in internal/.
 //
-// Worlds come from the scenario layer: censor.Scenario is a public,
-// JSON-serializable world spec (sizing plus per-ISP censorship behaviour)
-// compiled down to the packet-level simulation, with a preset registry
+// Worlds come from the scenario layer: the leaf package scenario defines
+// the public, JSON-serializable world spec (sizing plus per-ISP
+// censorship behaviour) and its validation rules once, censor re-exports
+// it as censor.Scenario, and internal/ispnet compiles it down to the
+// packet-level simulation. Presets live in a registry
 // (censor.RegisterScenario / LookupScenario / Scenarios) in which the
 // paper's calibration is just the "paper-2018" entry next to regimes the
 // study never observed (dns-only, all-interceptive, a no-censorship

@@ -1,7 +1,7 @@
 // Package apisurface enforces the clean public surface of the censor,
-// monitor, and netbridge packages: no repro/internal type may appear in
-// an exported signature, exported struct field, exported var, or type
-// declaration.
+// scenario, monitor, and netbridge packages: no repro/internal type may
+// appear in an exported signature, exported struct field, exported var,
+// or type declaration.
 // The option/scenario layer exists precisely so external callers can
 // build any world from JSON alone; an internal type in the surface would
 // couple them to packages the module forbids them to import.
@@ -27,7 +27,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "apisurface",
 	Key:  "apisurface",
 	Doc: "forbid repro/internal types in the exported surface of the public " +
-		"censor, monitor, and netbridge packages",
+		"censor, scenario, monitor, and netbridge packages",
 	Run: run,
 }
 
@@ -35,6 +35,7 @@ var Analyzer = &analysis.Analyzer{
 // //repolint:public file directive.
 var publicPkgs = map[string]bool{
 	"repro/censor":    true,
+	"repro/scenario":  true,
 	"repro/monitor":   true,
 	"repro/netbridge": true,
 }

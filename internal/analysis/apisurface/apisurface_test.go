@@ -16,3 +16,9 @@ func TestAPISurface(t *testing.T) {
 func TestNetbridgeClean(t *testing.T) {
 	analysistest.RunClean(t, apisurface.Analyzer, "../../../netbridge", "repro/netbridge")
 }
+
+// TestScenarioClean pins the world-building schema to the surface
+// contract: external callers write specs with no internal type in sight.
+func TestScenarioClean(t *testing.T) {
+	analysistest.RunClean(t, apisurface.Analyzer, "../../../scenario", "repro/scenario")
+}

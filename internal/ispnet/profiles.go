@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/middlebox"
+	"repro/scenario"
 )
 
 // CensorKind is the censorship mechanism an ISP operates itself.
@@ -29,9 +30,9 @@ const (
 	CensorDNS
 )
 
-func (k CensorKind) String() string {
-	return [...]string{"none", "wiretap", "interceptive-overt", "interceptive-covert", "dns-poisoning"}[k]
-}
+// String is the kind's scenario mechanism name, so specs and reports
+// speak one vocabulary.
+func (k CensorKind) String() string { return scenario.Mechanisms[k] }
 
 // TransitLink declares that a customer ISP reaches one hosting region
 // through a provider, and how many PBWs the provider's peering-link

@@ -1,349 +1,23 @@
 package ispnet
 
 import (
-	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/middlebox"
+	"repro/scenario"
 )
 
-// This file is the scenario compiler: the declarative world-building
-// schema (Scenario and its parts) and the lowering that turns a validated
-// spec into the packet-level Config NewWorld consumes. The public censor
-// package mirrors these types one-to-one so that external callers can
-// describe worlds without naming anything under internal/; the paper's own
-// calibration is just one spec (PaperScenario), which is what DefaultConfig
-// and DefaultProfiles are derived from.
-
-// Scenario declaratively describes one simulated Internet: global sizing
-// plus one ISPSpec per network operator. Addressing and AS numbers are
-// assigned by the compiler from ISP order, so a spec carries only
-// behaviour, never wire-level layout.
-type Scenario struct {
-	Name        string `json:"name"`
-	Description string `json:"description,omitempty"`
-
-	// Seed drives every random draw of the simulation; same seed, same
-	// world, same measurements.
-	Seed int64 `json:"seed"`
-	// PBWSites is the potentially-blocked-website population (the paper
-	// measured 1200); blocklist sizes are scaled against a 1200 baseline.
-	PBWSites int `json:"pbw_sites"`
-	// AlexaSites is the popular-destination population used as scan
-	// targets and controls.
-	AlexaSites int `json:"alexa_sites"`
-	// VantagePoints is the number of PlanetLab-style outside vantage
-	// points spread across the hosting fabric.
-	VantagePoints int `json:"vantage_points"`
-	// Pods is the number of global web-hosting pods (first half US,
-	// second half EU).
-	Pods int `json:"pods"`
-
-	ISPs []ISPSpec `json:"isps"`
-}
-
-// ISPSpec describes one network operator: topology sizing, the censorship
-// mechanism it runs, and the mechanism's calibration.
-type ISPSpec struct {
-	Name string `json:"name"`
-	// Mechanism is the censorship the ISP operates itself: "none",
-	// "wiretap", "interceptive-overt", "interceptive-covert" or
-	// "dns-poisoning".
-	Mechanism string `json:"mechanism"`
-
-	// Edges is the number of access/aggregation units; each claims a /24
-	// with subscriber hosts. The measurement client lives on the first.
-	Edges int `json:"edges"`
-	// Borders is the number of egress units peering with the hosting
-	// pods; 0 for transit-customer ISPs (which then need Transits).
-	Borders int `json:"borders,omitempty"`
-
-	// HTTP filtering calibration (mechanisms wiretap / interceptive-*).
-	Middleboxes int `json:"middleboxes,omitempty"`
-	// InboundMiddleboxes is the subset of boxes that also inspect traffic
-	// addressed *to* the ISP, making them visible to outside probes.
-	InboundMiddleboxes int     `json:"inbound_middleboxes,omitempty"`
-	Consistency        float64 `json:"consistency,omitempty"`
-	HTTPBlocklist      int     `json:"http_blocklist,omitempty"`
-	// WiretapLossProb is the probability a wiretap box loses the
-	// injection race (the paper observed ~3 in 10).
-	WiretapLossProb float64 `json:"wiretap_loss_prob,omitempty"`
-	// Notification styles the forged censorship response; also used for
-	// boxes this ISP operates on customer peering links.
-	Notification NotifSpec `json:"notification,omitempty"`
-
-	// DNS filtering calibration (mechanism dns-poisoning; Resolvers alone
-	// may be set for any mechanism to size an honest fleet).
-	Resolvers         int     `json:"resolvers,omitempty"`
-	PoisonedResolvers int     `json:"poisoned_resolvers,omitempty"`
-	DNSBlocklist      int     `json:"dns_blocklist,omitempty"`
-	DNSConsistency    float64 `json:"dns_consistency,omitempty"`
-	// ClientResolverPoison caps the poison list of the subscriber-default
-	// resolver.
-	ClientResolverPoison int `json:"client_resolver_poison,omitempty"`
-
-	// Population adds synthetic background users whose DNS/HTTP/HTTPS
-	// traffic flows through the same links and middlebox flow tables the
-	// campaign measures (trafficgen).
-	Population PopulationSpec `json:"population,omitempty"`
-	// FlowCapacity bounds each of this ISP's middlebox flow tables; at
-	// capacity the coldest live flow is evicted, which under population
-	// load produces the eviction-induced censorship misses the paper's
-	// stateful boxes imply. 0 keeps the generous middlebox default.
-	FlowCapacity int `json:"flow_capacity,omitempty"`
-
-	Transits []TransitSpec `json:"transits,omitempty"`
-}
-
-// PopulationSpec describes one ISP's synthetic background users. DNS, HTTP
-// and HTTPS are relative request-mix weights (all zero means pure HTTP);
-// ThinkMS is the mean think time between a user's page visits in
-// milliseconds (default 3000); Zipf is the popularity exponent over the
-// ranked site list (default 1.1).
-type PopulationSpec struct {
-	Users   int     `json:"users,omitempty"`
-	DNS     float64 `json:"dns,omitempty"`
-	HTTP    float64 `json:"http,omitempty"`
-	HTTPS   float64 `json:"https,omitempty"`
-	ThinkMS int     `json:"think_ms,omitempty"`
-	Zipf    float64 `json:"zipf,omitempty"`
-}
-
-// NotifSpec is the censorship-notification style of an ISP's middleboxes —
-// the forged response body and the wire-level signatures the paper used
-// for attribution. The zero value means an anonymous default style.
-type NotifSpec struct {
-	// Body is the notification HTML; empty plus Covert means a bare RST.
-	Body string `json:"body,omitempty"`
-	// MimicHeaders copies a typical origin server's header names onto the
-	// forged response — the property that blinds OONI's header check.
-	MimicHeaders bool `json:"mimic_headers,omitempty"`
-	// IPID pins the IP identification field of injected packets (Airtel's
-	// boxes always use 242).
-	IPID uint16 `json:"ipid,omitempty"`
-	// Covert marks a style that sends only a RST, no notification page.
-	Covert bool `json:"covert,omitempty"`
-}
-
-// TransitSpec wires the ISP to an upstream provider for one hosting
-// region. The provider deploys a middlebox on the peering link carrying
-// Collateral blocklist entries — the paper's collateral-damage mechanism.
-type TransitSpec struct {
-	Provider string `json:"provider"`
-	// Region is "US", "EU" or "ALL" (single-homed customers).
-	Region string `json:"region"`
-	// Collateral is the size of the provider's blocklist on this link.
-	Collateral int `json:"collateral"`
-}
-
-// mechanisms maps spec strings to censor kinds; the strings are
-// CensorKind.String() values so specs and reports speak one vocabulary.
-var mechanisms = map[string]CensorKind{
-	CensorNone.String():     CensorNone,
-	CensorWM.String():       CensorWM,
-	CensorIMOvert.String():  CensorIMOvert,
-	CensorIMCovert.String(): CensorIMCovert,
-	CensorDNS.String():      CensorDNS,
-}
-
-// MechanismNames lists the accepted ISPSpec.Mechanism values in kind
-// order.
-func MechanismNames() []string {
-	return []string{
-		CensorNone.String(), CensorWM.String(), CensorIMOvert.String(),
-		CensorIMCovert.String(), CensorDNS.String(),
-	}
-}
-
-// maxScenarioISPs bounds the ISP list: the compiler assigns each ISP the
-// 23.(10*(i+1)).0.0/16 address block, so ordinal 24 would overflow the
-// second octet.
-const maxScenarioISPs = 24
-
-// maxUsersPerEdge is the synthetic-user seating of one edge: each edge
-// hosts one traffic-generator host whose users hold fixed source ports
-// 10000..49999.
-const maxUsersPerEdge = 40000
-
-// Validate checks the scenario for structural errors: impossible sizings,
-// unknown mechanisms or transit providers, calibration outside its domain,
-// and worlds whose clients could never reach the hosting fabric. It
-// returns the first error found, naming the offending ISP.
-func (s Scenario) Validate() error {
-	if len(s.ISPs) == 0 {
-		return fmt.Errorf("scenario %q: no ISPs", s.Name)
-	}
-	if len(s.ISPs) > maxScenarioISPs {
-		return fmt.Errorf("scenario %q: %d ISPs exceeds the %d the address plan holds", s.Name, len(s.ISPs), maxScenarioISPs)
-	}
-	if s.PBWSites < 1 || s.AlexaSites < 1 {
-		return fmt.Errorf("scenario %q: PBWSites and AlexaSites must be ≥ 1 (got %d, %d)", s.Name, s.PBWSites, s.AlexaSites)
-	}
-	if s.VantagePoints < 1 {
-		return fmt.Errorf("scenario %q: VantagePoints must be ≥ 1 (got %d)", s.Name, s.VantagePoints)
-	}
-	if s.Pods < 4 {
-		return fmt.Errorf("scenario %q: Pods must be ≥ 4 to seat the hosting fabric (got %d)", s.Name, s.Pods)
-	}
-	if s.Pods > 250 {
-		return fmt.Errorf("scenario %q: Pods must be ≤ 250, one /16 per pod (got %d)", s.Name, s.Pods)
-	}
-	byName := make(map[string]*ISPSpec, len(s.ISPs))
-	for i := range s.ISPs {
-		isp := &s.ISPs[i]
-		if isp.Name == "" {
-			return fmt.Errorf("scenario %q: ISP %d has no name", s.Name, i)
-		}
-		if _, dup := byName[isp.Name]; dup {
-			return fmt.Errorf("scenario %q: duplicate ISP %q", s.Name, isp.Name)
-		}
-		byName[isp.Name] = isp
-	}
-	providers := make(map[string]bool)
-	for i := range s.ISPs {
-		for _, t := range s.ISPs[i].Transits {
-			providers[t.Provider] = true
-		}
-	}
-	for i := range s.ISPs {
-		if err := s.validateISP(&s.ISPs[i], byName, providers); err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	return nil
-}
-
-func (s Scenario) validateISP(isp *ISPSpec, byName map[string]*ISPSpec, providers map[string]bool) error {
-	kind, known := mechanisms[isp.Mechanism]
-	if isp.Mechanism == "" {
-		kind, known = CensorNone, true
-	}
-	if !known {
-		return fmt.Errorf("ISP %q: unknown mechanism %q (one of: %v)", isp.Name, isp.Mechanism, MechanismNames())
-	}
-	for _, n := range []struct {
-		what string
-		v    int
-	}{
-		{"edges", isp.Edges}, {"borders", isp.Borders},
-		{"middleboxes", isp.Middleboxes}, {"inbound_middleboxes", isp.InboundMiddleboxes},
-		{"http_blocklist", isp.HTTPBlocklist}, {"resolvers", isp.Resolvers},
-		{"poisoned_resolvers", isp.PoisonedResolvers}, {"dns_blocklist", isp.DNSBlocklist},
-		{"client_resolver_poison", isp.ClientResolverPoison},
-	} {
-		if n.v < 0 {
-			return fmt.Errorf("ISP %q: negative %s (%d)", isp.Name, n.what, n.v)
-		}
-	}
-	if isp.Edges < 1 {
-		return fmt.Errorf("ISP %q: edges must be ≥ 1, the measurement client lives on one", isp.Name)
-	}
-	if isp.Consistency < 0 || isp.Consistency > 1 {
-		return fmt.Errorf("ISP %q: consistency %v outside [0,1]", isp.Name, isp.Consistency)
-	}
-	if isp.DNSConsistency < 0 || isp.DNSConsistency > 1 {
-		return fmt.Errorf("ISP %q: dns_consistency %v outside [0,1]", isp.Name, isp.DNSConsistency)
-	}
-	if isp.WiretapLossProb < 0 || isp.WiretapLossProb > 1 {
-		return fmt.Errorf("ISP %q: wiretap_loss_prob %v outside [0,1]", isp.Name, isp.WiretapLossProb)
-	}
-
-	// Calibration set for a mechanism that never reads it is rejected, not
-	// ignored: a spec author who writes wiretap_loss_prob on an
-	// interceptive ISP believes in an evasion window that will not exist.
-	httpCensoring := kind == CensorWM || kind == CensorIMOvert || kind == CensorIMCovert
-	if httpCensoring {
-		if isp.Middleboxes < 1 {
-			return fmt.Errorf("ISP %q: mechanism %s needs middleboxes ≥ 1", isp.Name, isp.Mechanism)
-		}
-		if isp.Borders < 1 {
-			return fmt.Errorf("ISP %q: middleboxes deploy on borders; borders must be ≥ 1", isp.Name)
-		}
-		if isp.HTTPBlocklist < 1 {
-			return fmt.Errorf("ISP %q: mechanism %s needs http_blocklist ≥ 1", isp.Name, isp.Mechanism)
-		}
-	} else if isp.Middleboxes > 0 || isp.HTTPBlocklist > 0 || isp.Consistency != 0 {
-		return fmt.Errorf("ISP %q: middleboxes/http_blocklist/consistency set but mechanism is %q", isp.Name, isp.Mechanism)
-	}
-	if kind != CensorWM && isp.WiretapLossProb != 0 {
-		return fmt.Errorf("ISP %q: wiretap_loss_prob set but mechanism is %q — only wiretap boxes race", isp.Name, isp.Mechanism)
-	}
-	if isp.InboundMiddleboxes > isp.Middleboxes {
-		return fmt.Errorf("ISP %q: inbound_middleboxes %d exceeds middleboxes %d", isp.Name, isp.InboundMiddleboxes, isp.Middleboxes)
-	}
-
-	if kind == CensorDNS {
-		if isp.Resolvers < 1 || isp.PoisonedResolvers < 1 {
-			return fmt.Errorf("ISP %q: dns-poisoning needs resolvers ≥ 1 and poisoned_resolvers ≥ 1", isp.Name)
-		}
-		if isp.DNSBlocklist < 1 {
-			return fmt.Errorf("ISP %q: dns-poisoning needs dns_blocklist ≥ 1", isp.Name)
-		}
-	} else if isp.PoisonedResolvers > 0 || isp.DNSBlocklist > 0 || isp.DNSConsistency != 0 || isp.ClientResolverPoison > 0 {
-		return fmt.Errorf("ISP %q: poisoned_resolvers/dns_blocklist/dns_consistency/client_resolver_poison set but mechanism is %q", isp.Name, isp.Mechanism)
-	}
-	if isp.PoisonedResolvers > isp.Resolvers {
-		return fmt.Errorf("ISP %q: poisoned_resolvers %d exceeds resolvers %d", isp.Name, isp.PoisonedResolvers, isp.Resolvers)
-	}
-
-	pop := isp.Population
-	if pop.Users < 0 || pop.ThinkMS < 0 {
-		return fmt.Errorf("ISP %q: negative population users/think_ms (%d/%d)", isp.Name, pop.Users, pop.ThinkMS)
-	}
-	if pop.DNS < 0 || pop.HTTP < 0 || pop.HTTPS < 0 || pop.Zipf < 0 {
-		return fmt.Errorf("ISP %q: negative population mix weight or zipf exponent", isp.Name)
-	}
-	if pop.Users == 0 && pop != (PopulationSpec{}) {
-		return fmt.Errorf("ISP %q: population calibration set but users is 0", isp.Name)
-	}
-	if pop.Users > maxUsersPerEdge*isp.Edges {
-		return fmt.Errorf("ISP %q: population %d exceeds %d users the %d edge(s) can seat (%d ports each)",
-			isp.Name, pop.Users, maxUsersPerEdge*isp.Edges, isp.Edges, maxUsersPerEdge)
-	}
-	if isp.FlowCapacity < 0 {
-		return fmt.Errorf("ISP %q: negative flow_capacity (%d)", isp.Name, isp.FlowCapacity)
-	}
-	if isp.FlowCapacity > 0 && !httpCensoring && !providers[isp.Name] {
-		return fmt.Errorf("ISP %q: flow_capacity set but the ISP deploys no middleboxes (mechanism %q, not a transit provider)", isp.Name, isp.Mechanism)
-	}
-
-	coversUS, coversEU := isp.Borders > 0, isp.Borders > 0
-	for _, t := range isp.Transits {
-		p, ok := byName[t.Provider]
-		if !ok {
-			return fmt.Errorf("ISP %q: unknown transit provider %q", isp.Name, t.Provider)
-		}
-		if t.Provider == isp.Name {
-			return fmt.Errorf("ISP %q: transits through itself", isp.Name)
-		}
-		if p.Borders < 1 {
-			return fmt.Errorf("ISP %q: transit provider %q has no borders, so return traffic would bypass the peering link", isp.Name, t.Provider)
-		}
-		if t.Collateral < 1 {
-			return fmt.Errorf("ISP %q: transit via %q needs collateral ≥ 1", isp.Name, t.Provider)
-		}
-		switch t.Region {
-		case "ALL":
-			coversUS, coversEU = true, true
-		case "US":
-			coversUS = true
-		case "EU":
-			coversEU = true
-		default:
-			return fmt.Errorf("ISP %q: transit region %q (want US, EU or ALL)", isp.Name, t.Region)
-		}
-	}
-	if !coversUS || !coversEU {
-		return fmt.Errorf("ISP %q: no route to every hosting region — needs borders or transit coverage of US and EU", isp.Name)
-	}
-	return nil
-}
+// This file is the scenario compiler: the lowering that turns a validated
+// scenario.Scenario into the packet-level Config NewWorld consumes, and
+// the paper's own calibration as specs (PaperScenario and its variants),
+// which is what DefaultConfig and DefaultProfiles are derived from.
 
 // Compile validates the scenario and lowers it to the packet-level world
 // configuration: AS numbers 101+i and the 23.(10*(i+1)).0.0/16 block are
 // assigned from ISP order, mechanism strings become CensorKinds, and
 // notification specs become middlebox styles.
-func (s Scenario) Compile() (Config, error) {
+func Compile(s scenario.Scenario) (Config, error) {
 	if err := s.Validate(); err != nil {
 		return Config{}, err
 	}
@@ -355,7 +29,8 @@ func (s Scenario) Compile() (Config, error) {
 		Pods:       s.Pods,
 	}
 	for i, isp := range s.ISPs {
-		kind := mechanisms[isp.Mechanism]
+		// A validated mechanism is a Mechanisms entry, or empty for none.
+		kind := CensorKind(max(0, slices.Index(scenario.Mechanisms[:], isp.Mechanism)))
 		p := Profile{
 			Name: isp.Name, ASN: 101 + i, Base1: 23, Base2: byte(10 * (i + 1)),
 			Edges: isp.Edges, Borders: isp.Borders,
@@ -386,7 +61,7 @@ func (s Scenario) Compile() (Config, error) {
 				p.Population.HTTPShare = 1
 			}
 		}
-		if isp.Notification != (NotifSpec{}) {
+		if isp.Notification != (scenario.NotifSpec{}) {
 			p.Style = middlebox.NotifStyle{
 				ISP:          isp.Name,
 				BodyHTML:     isp.Notification.Body,
@@ -407,20 +82,20 @@ func (s Scenario) Compile() (Config, error) {
 
 // notifSpecOf lifts a middlebox style back into spec form (the ISP name is
 // reassigned by the compiler).
-func notifSpecOf(st middlebox.NotifStyle) NotifSpec {
-	return NotifSpec{Body: st.BodyHTML, MimicHeaders: st.MimicHeaders, IPID: st.IPID, Covert: st.Covert}
+func notifSpecOf(st middlebox.NotifStyle) scenario.NotifSpec {
+	return scenario.NotifSpec{Body: st.BodyHTML, MimicHeaders: st.MimicHeaders, IPID: st.IPID, Covert: st.Covert}
 }
 
 // PaperScenario is the Table 2/Table 3 calibration of Yadav et al. as a
 // scenario spec: the nine studied ISPs plus TATA, the 1200-website
 // population, Alexa 1000 and 40 vantage points. Compiling it yields
 // exactly DefaultConfig — the paper is one point in the scenario space.
-func PaperScenario() Scenario {
-	return Scenario{
+func PaperScenario() scenario.Scenario {
+	return scenario.Scenario{
 		Name:        "paper-2018",
 		Description: "the nine studied Indian ISPs plus TATA, calibrated from the paper's Tables 2-3 and Figures 2/5",
 		Seed:        2018, PBWSites: 1200, AlexaSites: 1000, VantagePoints: 40, Pods: 80,
-		ISPs: []ISPSpec{
+		ISPs: []scenario.ISPSpec{
 			{
 				Name: "Airtel", Mechanism: CensorWM.String(),
 				Edges: 10, Borders: 16,
@@ -450,7 +125,7 @@ func PaperScenario() Scenario {
 				Edges:     56,
 				Resolvers: 448, PoisonedResolvers: 345,
 				DNSBlocklist: 450, DNSConsistency: 0.424, ClientResolverPoison: 45,
-				Transits: []TransitSpec{
+				Transits: []scenario.TransitSpec{
 					{Provider: "TATA", Region: "US", Collateral: 134},
 					{Provider: "Airtel", Region: "EU", Collateral: 25},
 				},
@@ -460,7 +135,7 @@ func PaperScenario() Scenario {
 				Edges:     23,
 				Resolvers: 182, PoisonedResolvers: 17,
 				DNSBlocklist: 300, DNSConsistency: 0.075, ClientResolverPoison: 22,
-				Transits: []TransitSpec{
+				Transits: []scenario.TransitSpec{
 					{Provider: "TATA", Region: "US", Collateral: 156},
 					{Provider: "Airtel", Region: "EU", Collateral: 1},
 				},
@@ -468,7 +143,7 @@ func PaperScenario() Scenario {
 			{
 				Name: "NKN", Mechanism: CensorNone.String(),
 				Edges: 4,
-				Transits: []TransitSpec{
+				Transits: []scenario.TransitSpec{
 					{Provider: "Vodafone", Region: "US", Collateral: 69},
 					{Provider: "TATA", Region: "EU", Collateral: 8},
 				},
@@ -476,7 +151,7 @@ func PaperScenario() Scenario {
 			{
 				Name: "Sify", Mechanism: CensorNone.String(),
 				Edges: 4,
-				Transits: []TransitSpec{
+				Transits: []scenario.TransitSpec{
 					{Provider: "TATA", Region: "US", Collateral: 142},
 					{Provider: "Airtel", Region: "EU", Collateral: 2},
 				},
@@ -484,7 +159,7 @@ func PaperScenario() Scenario {
 			{
 				Name: "Siti", Mechanism: CensorNone.String(),
 				Edges: 4,
-				Transits: []TransitSpec{
+				Transits: []scenario.TransitSpec{
 					{Provider: "Airtel", Region: "ALL", Collateral: 110},
 				},
 			},
@@ -504,7 +179,7 @@ func PaperScenario() Scenario {
 // turn over in tens of seconds, so a connection that idles between
 // handshake and request loses its flow state — the eviction-induced
 // censorship miss an idle world never shows.
-func LoadedScenario() Scenario {
+func LoadedScenario() scenario.Scenario {
 	s := PaperScenario()
 	s.Name = "paper-2018-loaded"
 	s.Description = "the paper's ten-ISP world with 11k synthetic background users and bounded middlebox flow tables"
@@ -532,7 +207,7 @@ func LoadedScenario() Scenario {
 			}
 			isp.FlowCapacity = u.cap
 			if u.users > 0 {
-				isp.Population = PopulationSpec{
+				isp.Population = scenario.PopulationSpec{
 					Users: u.users,
 					DNS:   0.1, HTTP: 0.8, HTTPS: 0.1,
 					ThinkMS: 2000, Zipf: 1.1,
@@ -546,7 +221,7 @@ func LoadedScenario() Scenario {
 // SmallScenario is the paper calibration at reduced scale — the same ten
 // ISPs over 240 PBWs, Alexa 100 and 16 vantage points — for tests and
 // smoke runs. Compiling it yields exactly SmallConfig.
-func SmallScenario() Scenario {
+func SmallScenario() scenario.Scenario {
 	s := PaperScenario()
 	s.Name = "small"
 	s.Description = "the paper's ten-ISP world at reduced scale (240 PBWs) for experimentation and tests"

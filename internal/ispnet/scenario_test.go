@@ -11,13 +11,14 @@ import (
 	"repro/internal/httpwire"
 	"repro/internal/middlebox"
 	"repro/internal/websim"
+	"repro/scenario"
 )
 
 // TestPaperScenarioCompile pins the compiler's address/ASN assignment and
 // style lowering to the historical hand-written calibration, so the
 // "paper is just a preset" refactor cannot drift the world.
 func TestPaperScenarioCompile(t *testing.T) {
-	cfg, err := PaperScenario().Compile()
+	cfg, err := Compile(PaperScenario())
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -69,11 +70,11 @@ func TestPaperScenarioCompile(t *testing.T) {
 
 // TestSmallScenarioCompile checks the reduced preset only resizes.
 func TestSmallScenarioCompile(t *testing.T) {
-	small, err := SmallScenario().Compile()
+	small, err := Compile(SmallScenario())
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	paper, _ := PaperScenario().Compile()
+	paper, _ := Compile(PaperScenario())
 	if small.PBWCount != 240 || small.AlexaCount != 100 || small.VPCount != 16 {
 		t.Fatalf("small sizing drifted: %+v", small)
 	}
@@ -85,17 +86,17 @@ func TestSmallScenarioCompile(t *testing.T) {
 // TestScenarioJSONRoundTrip: a spec survives marshal/unmarshal with an
 // identical compiled config.
 func TestScenarioJSONRoundTrip(t *testing.T) {
-	for _, sc := range []Scenario{PaperScenario(), SmallScenario()} {
+	for _, sc := range []scenario.Scenario{PaperScenario(), SmallScenario()} {
 		raw, err := json.Marshal(sc)
 		if err != nil {
 			t.Fatalf("%s: Marshal: %v", sc.Name, err)
 		}
-		var back Scenario
+		var back scenario.Scenario
 		if err := json.Unmarshal(raw, &back); err != nil {
 			t.Fatalf("%s: Unmarshal: %v", sc.Name, err)
 		}
-		want, _ := sc.Compile()
-		got, err := back.Compile()
+		want, _ := Compile(sc)
+		got, err := Compile(back)
 		if err != nil {
 			t.Fatalf("%s: Compile after round trip: %v", sc.Name, err)
 		}
@@ -107,36 +108,36 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 
 // TestScenarioValidate rejects the malformed-spec catalogue.
 func TestScenarioValidate(t *testing.T) {
-	base := func() Scenario { return SmallScenario() }
+	base := func() scenario.Scenario { return SmallScenario() }
 	cases := []struct {
 		name   string
-		mutate func(*Scenario)
+		mutate func(*scenario.Scenario)
 		want   string
 	}{
-		{"no ISPs", func(s *Scenario) { s.ISPs = nil }, "no ISPs"},
-		{"negative edges", func(s *Scenario) { s.ISPs[0].Edges = -3 }, "negative"},
-		{"zero edges", func(s *Scenario) { s.ISPs[0].Edges = 0 }, "edges"},
-		{"consistency above 1", func(s *Scenario) { s.ISPs[0].Consistency = 1.5 }, "outside [0,1]"},
-		{"dns consistency below 0", func(s *Scenario) { s.ISPs[4].DNSConsistency = -0.1 }, "outside [0,1]"},
-		{"unknown mechanism", func(s *Scenario) { s.ISPs[0].Mechanism = "deep-packet-magic" }, "unknown mechanism"},
-		{"unknown transit provider", func(s *Scenario) { s.ISPs[4].Transits[0].Provider = "Hathway" }, "unknown transit provider"},
-		{"self transit", func(s *Scenario) { s.ISPs[4].Transits[0].Provider = "MTNL" }, "itself"},
-		{"bad transit region", func(s *Scenario) { s.ISPs[4].Transits[0].Region = "APAC" }, "transit region"},
-		{"duplicate ISP", func(s *Scenario) { s.ISPs[1].Name = "Airtel" }, "duplicate"},
-		{"boxes without borders", func(s *Scenario) {
+		{"no ISPs", func(s *scenario.Scenario) { s.ISPs = nil }, "no ISPs"},
+		{"negative edges", func(s *scenario.Scenario) { s.ISPs[0].Edges = -3 }, "negative"},
+		{"zero edges", func(s *scenario.Scenario) { s.ISPs[0].Edges = 0 }, "edges"},
+		{"consistency above 1", func(s *scenario.Scenario) { s.ISPs[0].Consistency = 1.5 }, "outside [0,1]"},
+		{"dns consistency below 0", func(s *scenario.Scenario) { s.ISPs[4].DNSConsistency = -0.1 }, "outside [0,1]"},
+		{"unknown mechanism", func(s *scenario.Scenario) { s.ISPs[0].Mechanism = "deep-packet-magic" }, "unknown mechanism"},
+		{"unknown transit provider", func(s *scenario.Scenario) { s.ISPs[4].Transits[0].Provider = "Hathway" }, "unknown transit provider"},
+		{"self transit", func(s *scenario.Scenario) { s.ISPs[4].Transits[0].Provider = "MTNL" }, "itself"},
+		{"bad transit region", func(s *scenario.Scenario) { s.ISPs[4].Transits[0].Region = "APAC" }, "transit region"},
+		{"duplicate ISP", func(s *scenario.Scenario) { s.ISPs[1].Name = "Airtel" }, "duplicate"},
+		{"boxes without borders", func(s *scenario.Scenario) {
 			s.ISPs[0].Borders = 0
-			s.ISPs[0].Transits = []TransitSpec{{Provider: "TATA", Region: "ALL", Collateral: 5}}
+			s.ISPs[0].Transits = []scenario.TransitSpec{{Provider: "TATA", Region: "ALL", Collateral: 5}}
 		}, "borders"},
-		{"inbound exceeds boxes", func(s *Scenario) { s.ISPs[0].InboundMiddleboxes = 99 }, "exceeds middleboxes"},
-		{"poisoned exceeds resolvers", func(s *Scenario) { s.ISPs[4].PoisonedResolvers = 9999 }, "exceeds resolvers"},
-		{"unreachable region", func(s *Scenario) { s.ISPs[4].Transits = s.ISPs[4].Transits[:1] }, "hosting region"},
-		{"http fields on dns censor", func(s *Scenario) { s.ISPs[4].Middleboxes = 3 }, "mechanism is"},
-		{"dns fields on wiretap censor", func(s *Scenario) { s.ISPs[0].DNSBlocklist = 10 }, "mechanism is"},
-		{"loss prob on interceptive", func(s *Scenario) { s.ISPs[1].WiretapLossProb = 0.3 }, "only wiretap boxes race"},
-		{"consistency on dns censor", func(s *Scenario) { s.ISPs[4].Consistency = 0.4 }, "mechanism is"},
-		{"dns consistency on clean ISP", func(s *Scenario) { s.ISPs[6].DNSConsistency = 0.2 }, "mechanism is"},
-		{"too few pods", func(s *Scenario) { s.Pods = 2 }, "Pods"},
-		{"no vantage points", func(s *Scenario) { s.VantagePoints = 0 }, "VantagePoints"},
+		{"inbound exceeds boxes", func(s *scenario.Scenario) { s.ISPs[0].InboundMiddleboxes = 99 }, "exceeds middleboxes"},
+		{"poisoned exceeds resolvers", func(s *scenario.Scenario) { s.ISPs[4].PoisonedResolvers = 9999 }, "exceeds resolvers"},
+		{"unreachable region", func(s *scenario.Scenario) { s.ISPs[4].Transits = s.ISPs[4].Transits[:1] }, "hosting region"},
+		{"http fields on dns censor", func(s *scenario.Scenario) { s.ISPs[4].Middleboxes = 3 }, "mechanism is"},
+		{"dns fields on wiretap censor", func(s *scenario.Scenario) { s.ISPs[0].DNSBlocklist = 10 }, "mechanism is"},
+		{"loss prob on interceptive", func(s *scenario.Scenario) { s.ISPs[1].WiretapLossProb = 0.3 }, "only wiretap boxes race"},
+		{"consistency on dns censor", func(s *scenario.Scenario) { s.ISPs[4].Consistency = 0.4 }, "mechanism is"},
+		{"dns consistency on clean ISP", func(s *scenario.Scenario) { s.ISPs[6].DNSConsistency = 0.2 }, "mechanism is"},
+		{"too few pods", func(s *scenario.Scenario) { s.Pods = 2 }, "Pods"},
+		{"no vantage points", func(s *scenario.Scenario) { s.VantagePoints = 0 }, "VantagePoints"},
 	}
 	for _, tc := range cases {
 		sc := base()
@@ -149,7 +150,7 @@ func TestScenarioValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
-		if _, err := sc.Compile(); err == nil {
+		if _, err := Compile(sc); err == nil {
 			t.Errorf("%s: Compile accepted the spec", tc.name)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/httpwire"
 	"repro/internal/websim"
+	"repro/scenario"
 )
 
 // findEvictionTarget picks a blocklisted, genuinely-hosted domain whose
@@ -94,7 +95,7 @@ func TestLoadDependentEvictionMiss(t *testing.T) {
 	// and the GET is censored.
 	idleSpec := LoadedScenario()
 	for i := range idleSpec.ISPs {
-		idleSpec.ISPs[i].Population = PopulationSpec{}
+		idleSpec.ISPs[i].Population = scenario.PopulationSpec{}
 	}
 	idle := NewWorld(mustCompile(idleSpec))
 	idleStream, idleReset := dallyFetch(idle, domain, addr, dally)

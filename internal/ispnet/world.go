@@ -15,6 +15,7 @@ import (
 	"repro/internal/trafficgen"
 	"repro/internal/websim"
 	"repro/obs"
+	"repro/scenario"
 )
 
 // Config sizes the world. The zero value is not useful; use DefaultConfig.
@@ -40,8 +41,8 @@ func SmallConfig() Config {
 }
 
 // mustCompile lowers a scenario known to validate (the built-in ones).
-func mustCompile(s Scenario) Config {
-	cfg, err := s.Compile()
+func mustCompile(s scenario.Scenario) Config {
+	cfg, err := Compile(s)
 	if err != nil {
 		panic(fmt.Sprintf("ispnet: built-in scenario %q: %v", s.Name, err))
 	}
