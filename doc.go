@@ -51,11 +51,11 @@
 // population.
 //
 // Underneath, the simulation engine (internal/sim) is built for the
-// packet hot path: events live by value in a recycled arena behind a
-// binary heap of slot indices, cancellation hands out generation-counted
-// timers, and packet hops are scheduled closure-free through
-// ScheduleCall, with transient wire bytes drawn from a per-network free
-// list. Steady state, a forwarded packet allocates nothing — the
+// packet hot path: events live by value in a recycled arena, queued in
+// FIFO delay lanes for the few delays a world repeats and a 4-ary heap
+// for the rest, cancellation hands out generation-counted timers, and
+// packet hops are scheduled closure-free through ScheduleCall, with
+// transient wire bytes drawn from a per-network free list. Steady state, a forwarded packet allocates nothing — the
 // property the netsim zero-alloc test and the CI benchmark gate pin
 // down. See README.md's Performance section.
 //

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/middlebox"
+	"repro/internal/netpkt"
 	"repro/internal/netsim"
 	"repro/internal/websim"
 )
@@ -181,14 +182,35 @@ func (w *World) addPodPolicy(pod *netsim.Router, prefixes []netip.Prefix, next *
 	pp.rules = append(pp.rules, podRule{prefixes: prefixes, next: next})
 }
 
+// podRange is one compiled rule prefix: IPv4 addresses lo..hi, as
+// uint32, route to next.
+type podRange struct {
+	lo, hi uint32
+	next   *netsim.Router
+}
+
+// install compiles the rules into address ranges, in rule order so the
+// first matching prefix still wins, and installs the policy. Packets carry
+// IPv4 only, so IPv6 prefixes and destinations never match.
 func (pp *podPolicy) install() {
-	rules := pp.rules
+	var ranges []podRange
+	for _, r := range pp.rules {
+		for _, pfx := range r.prefixes {
+			if !pfx.Addr().Is4() {
+				continue
+			}
+			lo := netpkt.V4Key(pfx.Masked().Addr())
+			ranges = append(ranges, podRange{lo: lo, hi: lo | (1<<(32-pfx.Bits()) - 1), next: r.next})
+		}
+	}
 	pp.pod.SetPolicy(func(dst netip.Addr) (*netsim.Router, bool) {
-		for _, r := range rules {
-			for _, pfx := range r.prefixes {
-				if pfx.Contains(dst) {
-					return r.next, true
-				}
+		if !dst.Is4() {
+			return nil, false
+		}
+		a := netpkt.V4Key(dst)
+		for _, r := range ranges {
+			if r.lo <= a && a <= r.hi {
+				return r.next, true
 			}
 		}
 		return nil, false

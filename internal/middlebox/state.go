@@ -139,7 +139,7 @@ func (c *Config) inScope(src, dst netip.Addr) bool {
 // Records live in flowTable's slot arena; key and prev/next are the
 // table's bookkeeping (map removal on eviction, intrusive LRU list).
 type flowState struct {
-	key        netpkt.FlowKey
+	key        netpkt.FlowID
 	prev, next int32
 	synSeen    bool
 	synAckSeen bool
@@ -165,7 +165,7 @@ type flowState struct {
 // set the table allocates nothing per flow — the property the background-
 // traffic zero-alloc gate measures through it.
 type flowTable struct {
-	flows      map[netpkt.FlowKey]int32
+	flows      map[netpkt.FlowID]int32
 	entries    []flowState
 	free       []int32
 	head, tail int32
@@ -186,7 +186,7 @@ func newFlowTable(timeout time.Duration, capacity int, now func() sim.Time,
 		capacity = defaultFlowCapacity
 	}
 	return &flowTable{
-		flows:     make(map[netpkt.FlowKey]int32),
+		flows:     make(map[netpkt.FlowID]int32),
 		head:      -1,
 		tail:      -1,
 		timeout:   timeout,
@@ -269,7 +269,7 @@ func (t *flowTable) drop(idx int32) {
 // -1 when the key is untracked.
 //
 //repolint:hotpath
-func (t *flowTable) get(key netpkt.FlowKey) int32 {
+func (t *flowTable) get(key netpkt.FlowID) int32 {
 	idx, ok := t.flows[key]
 	if !ok {
 		return -1
@@ -287,7 +287,7 @@ func (t *flowTable) get(key netpkt.FlowKey) int32 {
 // handshake state under population load.
 //
 //repolint:hotpath
-func (t *flowTable) create(key netpkt.FlowKey) int32 {
+func (t *flowTable) create(key netpkt.FlowID) int32 {
 	if len(t.flows) >= t.capacity {
 		now := t.now()
 		for t.head >= 0 && len(t.flows) >= t.capacity {
@@ -324,7 +324,7 @@ func (t *flowTable) create(key netpkt.FlowKey) int32 {
 //repolint:hotpath
 func (t *flowTable) observe(pkt *netpkt.Packet) (st *flowState, clientToServer bool) {
 	tcp := pkt.TCP
-	key := pkt.Flow()
+	key := pkt.Flow().ID()
 	// New flow: a bare SYN defines the client side. A live entry under the
 	// same key is a reused 4-tuple (population load cycles fixed source
 	// ports); the box starts that flow over.

@@ -8,6 +8,7 @@
 package netpkt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -80,6 +81,32 @@ func (k FlowKey) Reverse() FlowKey {
 
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%s %s:%d>%s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
+}
+
+// FlowID is the pointer-free form of a FlowKey, for map keys on the
+// packet path: it hashes and compares as plain bytes, where FlowKey's
+// netip.Addr fields carry a pointer.
+type FlowID struct {
+	Src, Dst         [16]byte // netip.Addr.As16
+	SrcPort, DstPort uint16
+	Proto            Protocol
+}
+
+// ID returns the key's FlowID.
+func (k FlowKey) ID() FlowID {
+	return FlowID{Src: k.Src.As16(), Dst: k.Dst.As16(), SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}
+}
+
+// Reverse returns the ID of the opposite direction.
+func (id FlowID) Reverse() FlowID {
+	return FlowID{Src: id.Dst, Dst: id.Src, SrcPort: id.DstPort, DstPort: id.SrcPort, Proto: id.Proto}
+}
+
+// V4Key returns an IPv4 address as a big-endian uint32, the index key
+// of per-address tables on the packet path. addr must be IPv4.
+func V4Key(addr netip.Addr) uint32 {
+	b := addr.As4()
+	return binary.BigEndian.Uint32(b[:])
 }
 
 // Flow returns the packet's flow key, or a zero key for ICMP.

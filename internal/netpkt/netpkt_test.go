@@ -138,6 +138,13 @@ func TestFlowKeyReverse(t *testing.T) {
 	if r.Reverse() != k {
 		t.Error("double reverse should be identity")
 	}
+	// The pointer-free FlowID keys the same flows and reverses the same way.
+	if k.ID().Reverse() != r.ID() || k.ID() == r.ID() {
+		t.Errorf("FlowID.Reverse disagrees with FlowKey.Reverse: %v vs %v", k.ID().Reverse(), r.ID())
+	}
+	if got := V4Key(netip.MustParseAddr("10.1.2.3")); got != 0x0a010203 {
+		t.Errorf("V4Key(10.1.2.3) = %#x, want 0x0a010203", got)
+	}
 }
 
 func TestSeqSpan(t *testing.T) {

@@ -78,9 +78,12 @@ type hostBaseline struct {
 	filter      IngressFilter
 }
 
-// AddHost attaches a host with address addr to router r.
+// AddHost attaches a host with IPv4 address addr to router r.
 func (n *Network) AddHost(addr netip.Addr, r *Router, accessLatency time.Duration) *Host {
-	if _, dup := n.hosts[addr]; dup {
+	if !addr.Is4() {
+		panic(fmt.Sprintf("netsim: host address %v is not IPv4", addr))
+	}
+	if n.hostAt(addr) != nil {
 		panic(fmt.Sprintf("netsim: duplicate host %v", addr))
 	}
 	h := &Host{
@@ -90,7 +93,7 @@ func (n *Network) AddHost(addr netip.Addr, r *Router, accessLatency time.Duratio
 		net:           n,
 		udpHandlers:   make(map[uint16]func(*netpkt.Packet)),
 	}
-	n.hosts[addr] = h
+	n.hosts[netpkt.V4Key(addr)] = h
 	return h
 }
 
@@ -98,7 +101,7 @@ func (n *Network) AddHost(addr netip.Addr, r *Router, accessLatency time.Duratio
 // back to prefix routing (usually a claimed-prefix drop). It exists for
 // bridge-owned endpoints seated after Build and removed with their
 // bridge's lifecycle; build-time hosts are permanent.
-func (n *Network) RemoveHost(h *Host) { delete(n.hosts, h.addr) }
+func (n *Network) RemoveHost(h *Host) { delete(n.hosts, netpkt.V4Key(h.addr)) }
 
 // Addr returns the host's address.
 func (h *Host) Addr() netip.Addr { return h.addr }

@@ -87,7 +87,9 @@ type Network struct {
 	eng     *sim.Engine
 	routers []*Router
 	adj     [][]edge
-	hosts   map[netip.Addr]*Host
+	// hosts indexes the attached hosts by netpkt.V4Key of their IPv4
+	// address; netpkt carries IPv4 only.
+	hosts map[uint32]*Host
 
 	prefixes []prefixEntry
 
@@ -128,7 +130,7 @@ type Network struct {
 
 // New creates an empty network on the given engine.
 func New(eng *sim.Engine) *Network {
-	n := &Network{eng: eng, hosts: make(map[netip.Addr]*Host)}
+	n := &Network{eng: eng, hosts: make(map[uint32]*Host)}
 	n.arriveFn = func(a, b any) { n.arriveAtRouter(a.(*Router), b.(*netpkt.Packet)) }
 	n.deliverFn = func(a, b any) { a.(*Host).deliver(b.(*netpkt.Packet)) }
 	n.sendFn = func(a, b any) { n.SendFromHost(a.(*Host), b.(*netpkt.Packet)) }
@@ -197,9 +199,19 @@ type PrefixInfo struct {
 	ASN    int
 }
 
+// hostAt returns the host registered at addr, or nil.
+//
+//repolint:hotpath
+func (n *Network) hostAt(addr netip.Addr) *Host {
+	if !addr.Is4() {
+		return nil
+	}
+	return n.hosts[netpkt.V4Key(addr)]
+}
+
 // ASNOf returns the origin ASN advertising addr, or 0 if unrouted.
 func (n *Network) ASNOf(addr netip.Addr) int {
-	if h, ok := n.hosts[addr]; ok {
+	if h := n.hostAt(addr); h != nil {
 		return h.router.ASN
 	}
 	for _, pe := range n.prefixes {
@@ -211,10 +223,17 @@ func (n *Network) ASNOf(addr netip.Addr) int {
 }
 
 // homeRouter finds the router a destination address lives behind.
+//
+//repolint:hotpath
 func (n *Network) homeRouter(addr netip.Addr) *Router {
-	if h, ok := n.hosts[addr]; ok {
+	if h := n.hostAt(addr); h != nil {
 		return h.router
 	}
+	return n.prefixHome(addr)
+}
+
+// prefixHome finds the router homing the claimed prefix containing addr.
+func (n *Network) prefixHome(addr netip.Addr) *Router {
 	for _, pe := range n.prefixes {
 		if pe.prefix.Contains(addr) {
 			return pe.router
@@ -225,8 +244,8 @@ func (n *Network) homeRouter(addr netip.Addr) *Router {
 
 // Host returns the host registered at addr, if any.
 func (n *Network) Host(addr netip.Addr) (*Host, bool) {
-	h, ok := n.hosts[addr]
-	return h, ok
+	h := n.hostAt(addr)
+	return h, h != nil
 }
 
 // MarkBaseline snapshots every host's handler registration as the pristine
@@ -355,26 +374,21 @@ func (n *Network) pairPathFor(a, b int) []int32 {
 // nextToward picks the next hop at router cur for a packet whose source
 // homes at srcHome (may be nil) and whose destination homes at dstHome:
 // the canonical pair path when cur is on it, else the fallback tree.
+//
+// The canonical path between lo < hi is walked greedily from lo with the
+// fallback tree's own rule (the lowest-ID neighbour one hop closer to hi),
+// so toward hi both give the same hop and only traffic toward lo reads
+// the stored path.
+//
+//repolint:hotpath
 func (n *Network) nextToward(cur *Router, srcHome, dstHome *Router) *Router {
 	R := len(n.routers)
-	if srcHome != nil && srcHome != dstHome {
-		lo, hi := srcHome.ID, dstHome.ID
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if path := n.pairPath[lo*R+hi]; path != nil {
-			towardEnd := path[len(path)-1] == int32(dstHome.ID)
-			for i, v := range path {
-				if v != int32(cur.ID) {
-					continue
-				}
-				if towardEnd && i+1 < len(path) {
-					return n.routers[path[i+1]]
-				}
-				if !towardEnd && i > 0 {
-					return n.routers[path[i-1]]
-				}
-				break
+	if srcHome != nil && dstHome.ID < srcHome.ID {
+		lo, hi := dstHome.ID, srcHome.ID
+		path := n.pairPath[lo*R+hi]
+		for i := 1; i < len(path); i++ {
+			if path[i] == int32(cur.ID) {
+				return n.routers[path[i-1]]
 			}
 		}
 	}
@@ -491,9 +505,10 @@ func (n *Network) timeExceeded(r *Router, expired *netpkt.Packet) *netpkt.Packet
 //repolint:hotpath
 func (n *Network) forwardFrom(r *Router, pkt *netpkt.Packet) {
 	dst := pkt.IP.Dst
-	if h, ok := n.hosts[dst]; ok && h.router == r {
+	dh := n.hostAt(dst)
+	if dh != nil && dh.router == r {
 		n.cDelivered.Inc()
-		n.eng.ScheduleCall(h.accessLatency, n.deliverFn, h, pkt)
+		n.eng.ScheduleCall(dh.accessLatency, n.deliverFn, dh, pkt)
 		return
 	}
 	if r.policy != nil {
@@ -502,7 +517,12 @@ func (n *Network) forwardFrom(r *Router, pkt *netpkt.Packet) {
 			return
 		}
 	}
-	home := n.homeRouter(dst)
+	var home *Router
+	if dh != nil {
+		home = dh.router
+	} else {
+		home = n.prefixHome(dst)
+	}
 	if home == nil {
 		n.Drops++
 		n.cDropped.Inc()

@@ -252,6 +252,77 @@ func TestASNOf(t *testing.T) {
 	}
 }
 
+// Regression for the IPv4 host index: a host removed with RemoveHost (the
+// bridge's DetachBridgeHost) stops being found by Host and ASNOf, packets
+// to its address fall back to prefix routing and die as a dead IP, and
+// the address can be seated again.
+func TestRemoveHostFallsBackToPrefix(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := New(eng)
+	r0 := n.AddRouter("r0", 1, addr(100, 0, 0, 1))
+	r1 := n.AddRouter("r1", 2, addr(100, 0, 0, 2))
+	n.Link(r0, r1, time.Millisecond)
+	n.ClaimPrefix(netip.MustParsePrefix("10.0.0.0/24"), r0)
+	server := n.AddHost(addr(203, 0, 113, 80), r0, time.Millisecond)
+	n.Build()
+
+	bridgeAddr := addr(10, 0, 0, 210)
+	send := func() {
+		server.Send(netpkt.NewUDP(server.Addr(), bridgeAddr, &netpkt.UDPDatagram{SrcPort: 1, DstPort: 53}))
+		eng.Run()
+	}
+	seat := func() (*Host, *int) {
+		h := n.AddHost(bridgeAddr, r1, time.Millisecond) // seated after Build, like a bridge host
+		got := new(int)
+		h.SetUDPHandler(53, func(*netpkt.Packet) { *got++ })
+		return h, got
+	}
+
+	h, got := seat()
+	if found, ok := n.Host(bridgeAddr); !ok || found != h {
+		t.Fatalf("Host(%v) = %v, %v; want the seated host", bridgeAddr, found, ok)
+	}
+	if asn := n.ASNOf(bridgeAddr); asn != 2 {
+		t.Errorf("ASNOf(seated) = %d, want 2 (the host's router)", asn)
+	}
+	send()
+	if *got != 1 || n.Drops != 0 {
+		t.Fatalf("seated host: delivered %d, drops %d; want 1, 0", *got, n.Drops)
+	}
+
+	n.RemoveHost(h)
+	if found, ok := n.Host(bridgeAddr); ok || found != nil {
+		t.Errorf("Host(%v) after RemoveHost = %v, %v; want nil, false", bridgeAddr, found, ok)
+	}
+	if asn := n.ASNOf(bridgeAddr); asn != 1 {
+		t.Errorf("ASNOf(removed) = %d, want 1 (the claimed prefix)", asn)
+	}
+	if p := n.PathHostToAddr(server, bridgeAddr); len(p) != 1 || p[0] != r0 {
+		t.Errorf("path to removed host = %v, want [r0] (the prefix's home)", p)
+	}
+	send()
+	if *got != 1 || n.Drops != 1 {
+		t.Errorf("removed host: delivered %d, drops %d; want 1, 1 (dead-IP drop)", *got, n.Drops)
+	}
+
+	_, again := seat()
+	send()
+	if *again != 1 {
+		t.Errorf("re-seated host: delivered %d, want 1", *again)
+	}
+}
+
+func TestAddHostRejectsIPv6(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	r := n.AddRouter("r", 1, addr(100, 0, 0, 1))
+	defer func() {
+		if recover() == nil {
+			t.Error("AddHost with an IPv6 address should panic: hosts are indexed by IPv4")
+		}
+	}()
+	n.AddHost(netip.MustParseAddr("2001:db8::1"), r, time.Millisecond)
+}
+
 func TestIngressFilterDrops(t *testing.T) {
 	eng, _, client, server, _ := lineNetwork(t, 4)
 	got := 0
@@ -288,7 +359,8 @@ func TestCapture(t *testing.T) {
 }
 
 // Property: on random connected graphs, every router pair routes
-// symmetrically and paths terminate.
+// symmetrically and paths terminate, and a packet between hosts on any two
+// routers crosses exactly the canonical path.
 func TestPropertyRandomTopologySymmetry(t *testing.T) {
 	f := func(seed int64) bool {
 		eng := sim.NewEngine(seed)
@@ -296,8 +368,12 @@ func TestPropertyRandomTopologySymmetry(t *testing.T) {
 		rng := eng.Rand()
 		R := 3 + rng.Intn(12)
 		rs := make([]*Router, R)
+		hosts := make([]*Host, R)
+		var crossed []*Router
 		for i := range rs {
 			rs[i] = n.AddRouter("r", 1, addr(100, 1, byte(i), 1))
+			hosts[i] = n.AddHost(addr(10, 1, byte(i), 2), rs[i], time.Millisecond)
+			rs[i].AttachTap(tapFunc(func(_ *netpkt.Packet, at *Router) { crossed = append(crossed, at) }))
 			if i > 0 {
 				n.Link(rs[rng.Intn(i)], rs[i], time.Millisecond) // spanning tree
 			}
@@ -309,6 +385,17 @@ func TestPropertyRandomTopologySymmetry(t *testing.T) {
 			}
 		}
 		n.Build()
+		samePath := func(a, b []*Router) bool {
+			if len(a) != len(b) {
+				return false
+			}
+			for k := range a {
+				if a[k] != b[k] {
+					return false
+				}
+			}
+			return true
+		}
 		for i := 0; i < R; i++ {
 			for j := i + 1; j < R; j++ {
 				fwd := n.PathRouters(rs[i], rs[j])
@@ -318,6 +405,15 @@ func TestPropertyRandomTopologySymmetry(t *testing.T) {
 				}
 				for k := range fwd {
 					if fwd[k] != rev[len(rev)-1-k] {
+						return false
+					}
+				}
+				for _, dir := range [][2]int{{i, j}, {j, i}} {
+					crossed = crossed[:0]
+					src, dst := hosts[dir[0]], hosts[dir[1]]
+					src.Send(netpkt.NewUDP(src.Addr(), dst.Addr(), &netpkt.UDPDatagram{SrcPort: 1, DstPort: 2}))
+					eng.Run()
+					if !samePath(crossed, n.PathRouters(rs[dir[0]], rs[dir[1]])) {
 						return false
 					}
 				}

@@ -61,13 +61,13 @@ type Conn struct {
 	DupAcks int
 }
 
-// flowKey is the local-first demux key.
-func (c *Conn) flowKey() netpkt.FlowKey {
+// flowID is the local-first demux key.
+func (c *Conn) flowID() netpkt.FlowID {
 	return netpkt.FlowKey{
 		Src: c.localAddr, Dst: c.remoteAddr,
 		SrcPort: c.localPort, DstPort: c.remotePort,
 		Proto: netpkt.ProtoTCP,
-	}
+	}.ID()
 }
 
 // State returns the connection state.

@@ -63,7 +63,7 @@ type Stack struct {
 	host      *netsim.Host
 	eng       *sim.Engine
 	listeners map[uint16]func(*Conn)
-	conns     map[netpkt.FlowKey]*Conn
+	conns     map[netpkt.FlowID]*Conn
 	// portRefs tracks how many live connections use each local port, so
 	// ephemeral allocation is O(1) even with tens of thousands of
 	// connections (mass scans).
@@ -82,7 +82,7 @@ func NewStack(h *netsim.Host) *Stack {
 		host:      h,
 		eng:       h.Engine(),
 		listeners: make(map[uint16]func(*Conn)),
-		conns:     make(map[netpkt.FlowKey]*Conn),
+		conns:     make(map[netpkt.FlowID]*Conn),
 		portRefs:  make(map[uint16]int),
 		nextPort:  32768,
 	}
@@ -143,13 +143,13 @@ func (s *Stack) Connect(dst netip.Addr, port uint16) *Conn {
 
 // insert registers a connection for demux and port accounting.
 func (s *Stack) insert(c *Conn) {
-	s.conns[c.flowKey()] = c
+	s.conns[c.flowID()] = c
 	s.portRefs[c.localPort]++
 }
 
 // handle dispatches an arriving TCP packet.
 func (s *Stack) handle(pkt *netpkt.Packet) {
-	key := pkt.Flow().Reverse() // our local-first key
+	key := pkt.Flow().ID().Reverse() // our local-first key
 	if c, ok := s.conns[key]; ok {
 		c.handleSegment(pkt.TCP)
 		return
@@ -193,7 +193,7 @@ func (s *Stack) handle(pkt *netpkt.Packet) {
 
 // remove drops the connection from the stack's demux table.
 func (s *Stack) remove(c *Conn) {
-	key := c.flowKey()
+	key := c.flowID()
 	if _, ok := s.conns[key]; !ok {
 		return
 	}
