@@ -145,7 +145,7 @@ func run(listen, scenario string, every, jitter time.Duration, workers, domainCa
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	srv := &http.Server{Addr: listen, Handler: handler}
+	srv := newServer(listen, handler)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "censord: listening on %s\n", listen)
@@ -165,4 +165,23 @@ func run(listen, scenario string, every, jitter time.Duration, workers, domainCa
 		return err
 	}
 	return nil
+}
+
+// Timeouts bounding what an untrusted client can hold open: a connection
+// that trickles its request header, or idles between keep-alive requests.
+// Bodies and responses stay unbounded in time — large JSONL ingests and
+// pprof profiles legitimately take long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -180,15 +180,7 @@ func Evade(p *probe.Probe, t Technique, domain string) *Attempt {
 // looks like the simulated web's pages rather than a censorship notice.
 func goodContent(stream []byte, responses []*httpwire.Response) bool {
 	if responses == nil {
-		var rest []byte = stream
-		for len(rest) > 0 {
-			resp, r2, err := httpwire.ParseResponse(rest)
-			if err != nil {
-				break
-			}
-			responses = append(responses, resp)
-			rest = r2
-		}
+		responses = httpwire.ParseResponses(stream)
 	}
 	for _, r := range responses {
 		if r.StatusCode == 200 && bytes.Contains(r.Body, []byte("portal")) {

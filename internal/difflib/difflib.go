@@ -13,16 +13,67 @@ type match struct{ a, b, size int }
 
 // matcher computes matching blocks between two sequences, following
 // Python's SequenceMatcher (without junk heuristics — measurement code
-// wants the deterministic exact algorithm).
-type matcher[E comparable] struct {
-	a, b []E
-	b2j  map[E][]int
+// wants the deterministic exact algorithm). Construction interns the
+// elements to dense ids, so the search itself runs on int32 slices carved
+// from one allocation and reused by every findLongestMatch call.
+type matcher struct {
+	// aid is the id of each element of a, or -1 when b lacks it.
+	aid []int32
+	// The positions in b of id k are pos[start[k]:start[k+1]], ascending.
+	start, pos []int32
+	// j2len and newj2len hold, at index j+1, the length of the match
+	// ending at b[j] for the previous and the current element of a;
+	// written and newWritten list the indexes set in each, so clearing
+	// touches only those and both stay all-zero between calls.
+	j2len, newj2len     []int32
+	written, newWritten []int32
 }
 
-func newMatcher[E comparable](a, b []E) *matcher[E] {
-	m := &matcher[E]{a: a, b: b, b2j: make(map[E][]int, len(b))}
+func newMatcher[E comparable](a, b []E) *matcher {
+	ids := make(map[E]int32, len(b))
+	nb := len(b)
+	m := &matcher{}
+	// bid (each b element's id) is scratch space, needed only here.
+	bid := make([]int32, nb)
 	for j, e := range b {
-		m.b2j[e] = append(m.b2j[e], j)
+		id, ok := ids[e]
+		if !ok {
+			id = int32(len(ids))
+			ids[e] = id
+		}
+		bid[j] = id
+	}
+	buf := make([]int32, len(a)+len(ids)+1+nb+2*(nb+1)+2*nb)
+	carve := func(n int) []int32 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	m.aid, m.start, m.pos = carve(len(a)), carve(len(ids)+1), carve(nb)
+	m.j2len, m.newj2len = carve(nb+1), carve(nb+1)
+	m.written, m.newWritten = carve(nb)[:0], carve(nb)[:0]
+
+	// Counting sort of b's positions by id: after the fill loop start[k]
+	// has advanced to the end of bucket k, so shift it back by one.
+	for _, id := range bid {
+		m.start[id+1]++
+	}
+	for k := 1; k < len(m.start); k++ {
+		m.start[k] += m.start[k-1]
+	}
+	for j, id := range bid {
+		m.pos[m.start[id]] = int32(j)
+		m.start[id]++
+	}
+	copy(m.start[1:], m.start[:len(m.start)-1])
+	m.start[0] = 0
+
+	for i, e := range a {
+		if id, ok := ids[e]; ok {
+			m.aid[i] = id
+		} else {
+			m.aid[i] = -1
+		}
 	}
 	return m
 }
@@ -30,41 +81,54 @@ func newMatcher[E comparable](a, b []E) *matcher[E] {
 // findLongestMatch finds the longest matching block in a[alo:ahi] and
 // b[blo:bhi], preferring the earliest in a then earliest in b, exactly as
 // CPython's implementation does.
-func (m *matcher[E]) findLongestMatch(alo, ahi, blo, bhi int) match {
+func (m *matcher) findLongestMatch(alo, ahi, blo, bhi int) match {
 	besti, bestj, bestsize := alo, blo, 0
-	j2len := map[int]int{}
 	for i := alo; i < ahi; i++ {
-		newj2len := map[int]int{}
-		for _, j := range m.b2j[m.a[i]] {
-			if j < blo {
-				continue
-			}
-			if j >= bhi {
-				break
-			}
-			k := j2len[j-1] + 1
-			newj2len[j] = k
-			if k > bestsize {
-				besti, bestj, bestsize = i-k+1, j-k+1, k
+		m.newWritten = m.newWritten[:0]
+		if id := m.aid[i]; id >= 0 {
+			for _, j32 := range m.pos[m.start[id]:m.start[id+1]] {
+				j := int(j32)
+				if j < blo {
+					continue
+				}
+				if j >= bhi {
+					break
+				}
+				k := m.j2len[j] + 1 // index j holds the run ending at b[j-1]
+				m.newj2len[j+1] = k
+				m.newWritten = append(m.newWritten, j32+1)
+				if int(k) > bestsize {
+					besti, bestj, bestsize = i-int(k)+1, j-int(k)+1, int(k)
+				}
 			}
 		}
-		j2len = newj2len
+		for _, x := range m.written {
+			m.j2len[x] = 0
+		}
+		m.j2len, m.newj2len = m.newj2len, m.j2len
+		m.written, m.newWritten = m.newWritten, m.written
 	}
+	for _, x := range m.written {
+		m.j2len[x] = 0
+	}
+	m.written = m.written[:0]
 	return match{besti, bestj, bestsize}
 }
 
-// matchingBlocks returns all maximal matching blocks, iteratively (CPython
-// uses an explicit queue to avoid recursion depth issues; so do we).
-func (m *matcher[E]) matchingBlocks() []match {
+// matched returns the total size of all maximal matching blocks of a
+// (length na) and b (length nb), found iteratively (CPython uses an
+// explicit queue to avoid recursion depth issues; so do we).
+func (m *matcher) matched(na, nb int) int {
 	type span struct{ alo, ahi, blo, bhi int }
-	queue := []span{{0, len(m.a), 0, len(m.b)}}
-	var matched []match
+	var stack [16]span
+	queue := append(stack[:0], span{0, na, 0, nb})
+	total := 0
 	for len(queue) > 0 {
 		s := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		mt := m.findLongestMatch(s.alo, s.ahi, s.blo, s.bhi)
 		if mt.size > 0 {
-			matched = append(matched, mt)
+			total += mt.size
 			if s.alo < mt.a && s.blo < mt.b {
 				queue = append(queue, span{s.alo, mt.a, s.blo, mt.b})
 			}
@@ -73,7 +137,7 @@ func (m *matcher[E]) matchingBlocks() []match {
 			}
 		}
 	}
-	return matched
+	return total
 }
 
 // ratio computes 2*M/T where M is the number of matched elements and T the
@@ -83,11 +147,7 @@ func ratio[E comparable](a, b []E) float64 {
 	if total == 0 {
 		return 1.0
 	}
-	m := newMatcher(a, b)
-	matched := 0
-	for _, blk := range m.matchingBlocks() {
-		matched += blk.size
-	}
+	matched := newMatcher(a, b).matched(len(a), len(b))
 	return 2.0 * float64(matched) / float64(total)
 }
 

@@ -196,11 +196,13 @@ func Parse(b []byte) (*Message, error) {
 	an := int(binary.BigEndian.Uint16(b[6:8]))
 
 	off := 12
+	var last string // the last name parsed: answers usually repeat it
 	for i := 0; i < qd; i++ {
-		name, n, err := parseName(b, off)
+		name, n, err := parseName(b, off, last)
 		if err != nil {
 			return nil, err
 		}
+		last = name
 		off = n
 		if off+4 > len(b) {
 			return nil, fmt.Errorf("dnswire: truncated question")
@@ -213,10 +215,11 @@ func Parse(b []byte) (*Message, error) {
 		off += 4
 	}
 	for i := 0; i < an; i++ {
-		name, n, err := parseName(b, off)
+		name, n, err := parseName(b, off, last)
 		if err != nil {
 			return nil, err
 		}
+		last = name
 		off = n
 		if off+10 > len(b) {
 			return nil, fmt.Errorf("dnswire: truncated answer")
@@ -240,9 +243,13 @@ func Parse(b []byte) (*Message, error) {
 }
 
 // parseName decodes a possibly-compressed name starting at off, returning
-// the name and the offset just past it.
-func parseName(b []byte, off int) (string, int, error) {
-	var labels []string
+// the name and the offset just past it. The name is assembled in a stack
+// buffer sized for the RFC 1035 limit and converted to a string once; when
+// it equals like (the name parsed before it), like itself is returned and
+// nothing is allocated.
+func parseName(b []byte, off int, like string) (string, int, error) {
+	var buf [255]byte
+	name := buf[:0]
 	end := -1 // offset after the name in the original stream
 	jumps := 0
 	for {
@@ -255,7 +262,10 @@ func parseName(b []byte, off int) (string, int, error) {
 			if end < 0 {
 				end = off + 1
 			}
-			return strings.Join(labels, "."), end, nil
+			if string(name) == like {
+				return like, end, nil
+			}
+			return string(name), end, nil
 		case c&0xc0 == 0xc0:
 			if off+1 >= len(b) {
 				return "", 0, fmt.Errorf("dnswire: truncated compression pointer")
@@ -277,7 +287,10 @@ func parseName(b []byte, off int) (string, int, error) {
 			if off+1+c > len(b) {
 				return "", 0, fmt.Errorf("dnswire: truncated label")
 			}
-			labels = append(labels, string(b[off+1:off+1+c]))
+			if len(name) > 0 {
+				name = append(name, '.')
+			}
+			name = append(name, b[off+1:off+1+c]...)
 			off += 1 + c
 		}
 	}

@@ -191,3 +191,14 @@ func TestPropertyAnswerRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseAllocations(t *testing.T) {
+	q := NewQuery(7, "blocked.example.in")
+	b, err := q.Answer(RCodeNoError, 300, netip.AddrFrom4([4]byte{192, 0, 2, 1})).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = Parse(b) }); n > 5 {
+		t.Errorf("Parse of an A answer: %v allocs/op, want <= 5", n)
+	}
+}

@@ -190,6 +190,13 @@ func TestTitle(t *testing.T) {
 		{"<html>no title</html>", ""},
 		{"<title>unterminated", ""},
 		{"", ""},
+		// Bytes whose lower-casing changes length must not shift the
+		// offsets: the tags are found in the body itself.
+		{"İİİ<title>Hello</title>", "Hello"},
+		{"\xff\xfe<title>Hello</title>", "Hello"},
+		{"\xff<TiTlE>Ünïcode ŞİTE</tItLe>", "Ünïcode ŞİTE"},
+		{"<<title<title>x</title>", "x"},
+		{"<title></title>", ""},
 	}
 	for _, c := range cases {
 		if got := Title([]byte(c.body)); got != c.want {
@@ -270,4 +277,41 @@ func sanitizeValue(s string) string {
 		return sb.String()[:64]
 	}
 	return sb.String()
+}
+
+func TestParseAllocations(t *testing.T) {
+	typical := NewResponse(200, "OK", []byte("<html><title>portal</title><body>hello</body></html>")).
+		AddHeader("Content-Type", "text/html").
+		AddHeader("Server", "repro/1.0").
+		Marshal()
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = ParseResponse(typical) }); n > 3 {
+		t.Errorf("ParseResponse: %v allocs/op, want <= 3", n)
+	}
+	for _, in := range [][]byte{typical, typical[:len(typical)-3], []byte("HTTP/1.1 2x0 OK\r\nA: b\r\n\r\n"), nil} {
+		if n := testing.AllocsPerRun(100, func() { HasResponse(in) }); n != 0 {
+			t.Errorf("HasResponse(%q): %v allocs/op, want 0", in, n)
+		}
+	}
+	body := []byte("\xff<html><TITLE>portal</TITLE></html>")
+	if n := testing.AllocsPerRun(100, func() { Title(body) }); n > 1 {
+		t.Errorf("Title: %v allocs/op, want <= 1 (the result string)", n)
+	}
+}
+
+// The parsed response aliases its input: the body is a window of it,
+// clipped so that appending to the body cannot overwrite what follows.
+func TestParseResponseAliasesInput(t *testing.T) {
+	stream := append(NewResponse(200, "OK", []byte("first")).Marshal(),
+		NewResponse(200, "OK", []byte("second")).Marshal()...)
+	r, rest, err := ParseResponse(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &r.Body[0] != &stream[len(stream)-len(rest)-len("first")] {
+		t.Error("body does not alias the stream")
+	}
+	_ = append(r.Body, "XXXX"...)
+	if r2, _, err := ParseResponse(rest); err != nil || string(r2.Body) != "second" {
+		t.Errorf("appending to the first body clobbered the second response: %v %q", err, r2.Body)
+	}
 }

@@ -187,8 +187,8 @@ type World struct {
 	// into the world (TCP stacks, web servers, DNS clients and resolvers),
 	// in build order; Reset runs them after rewinding the engine.
 	resetters []func()
-	// notifSigs is the per-world notification catalogue (build-time).
-	notifSigs []NotifSignature
+	// sigs is the per-world notification catalogue, compiled at build time.
+	sigs *SignatureSet
 }
 
 // onReset registers a component rewind to run during Reset.
@@ -421,29 +421,6 @@ func (w *World) newEndpoint(addr netip.Addr, r *netsim.Router, region websim.Reg
 		Server: srv,
 		Region: region, Pod: -1,
 		World: w,
-	}
-}
-
-// NotifSignature fingerprints one ISP's censorship notification: any
-// stream containing Marker was forged by that ISP's middleboxes.
-type NotifSignature struct {
-	ISP    string
-	Marker string
-}
-
-// NotifSignatures is the notification catalogue of this world — what the
-// paper's researchers assembled by browsing blocked sites from every
-// vantage (§6.1), derived from the deployed styles: one signature per
-// ISP whose boxes send a notification body. Scenario worlds thus get
-// attribution for their own custom censors, not just the paper's four.
-// The catalogue is build-time state, computed once (it survives Reset).
-func (w *World) NotifSignatures() []NotifSignature { return w.notifSigs }
-
-func (w *World) buildNotifSignatures() {
-	for _, isp := range w.ISPList {
-		if body := isp.Profile.Style.BodyHTML; body != "" {
-			w.notifSigs = append(w.notifSigs, NotifSignature{ISP: isp.Name, Marker: body})
-		}
 	}
 }
 

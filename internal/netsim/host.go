@@ -58,7 +58,7 @@ type Host struct {
 
 	filter IngressFilter
 
-	capturing bool
+	capturing captureMode
 	captures  []Captured
 	// tap is the persistent capture hook (pcap writers): unlike the
 	// Start/StopCapture window — which probes open and close around their
@@ -70,6 +70,15 @@ type Host struct {
 	// pristine build-time state RestoreBaseline rewinds to.
 	baseline *hostBaseline
 }
+
+// captureMode selects what the Start/StopCapture window records.
+type captureMode uint8
+
+const (
+	captureOff captureMode = iota
+	captureBoth
+	captureInbound
+)
 
 // hostBaseline snapshots the handler state a world build leaves behind.
 type hostBaseline struct {
@@ -176,7 +185,7 @@ func (h *Host) RestoreBaseline() {
 	}
 	h.icmpHandler = h.baseline.icmpHandler
 	h.filter = h.baseline.filter
-	h.capturing = false
+	h.capturing = captureOff
 	h.captures = nil
 	h.tap = nil
 }
@@ -195,13 +204,22 @@ func (h *Host) SetTap(fn PacketTap) { h.tap = fn }
 
 // StartCapture begins recording all packets in and out of the host.
 func (h *Host) StartCapture() {
-	h.capturing = true
+	h.capturing = captureBoth
+	h.captures = nil
+}
+
+// StartInboundCapture begins a capture window that records only packets
+// arriving at the host (DirIn). Inbound records share the delivered packet,
+// so the window clones nothing; probes that never read their own outbound
+// packets open this one. StopCapture and Captures work as for StartCapture.
+func (h *Host) StartInboundCapture() {
+	h.capturing = captureInbound
 	h.captures = nil
 }
 
 // StopCapture stops recording and returns the capture.
 func (h *Host) StopCapture() []Captured {
-	h.capturing = false
+	h.capturing = captureOff
 	out := h.captures
 	h.captures = nil
 	return out
@@ -215,7 +233,7 @@ func (h *Host) capture(dir Direction, pkt *netpkt.Packet) {
 	if h.tap != nil {
 		h.tap(h.net.eng.Now(), dir, pkt)
 	}
-	if !h.capturing {
+	if h.capturing == captureOff || dir == DirOut && h.capturing == captureInbound {
 		return
 	}
 	rec := Captured{At: h.net.eng.Now(), Dir: dir, Pkt: pkt}
@@ -225,8 +243,16 @@ func (h *Host) capture(dir Direction, pkt *netpkt.Packet) {
 		// packet never changes again — so DirIn records share the packet.
 		rec.Pkt = pkt.Clone()
 	}
+	if h.captures == nil {
+		// A probe's window holds a handful of packets: one allocation
+		// covers most of them instead of a growth step per doubling.
+		h.captures = make([]Captured, 0, captureCap)
+	}
 	h.captures = append(h.captures, rec)
 }
+
+// captureCap is the initial capacity of a capture window's record slice.
+const captureCap = 8
 
 // deliver dispatches an arriving packet: filter, capture, then protocol
 // handler.

@@ -66,11 +66,7 @@ func scanPath(ep *ispnet.Endpoint, dst netip.Addr, hosts []string, attempts int,
 			c := conn
 			startLen := consumed
 			_ = eng.RunUntil(perURL, func() bool {
-				if c.Dead() || c.PeerClosed() {
-					return true
-				}
-				resp := tryParseAll(c.Stream()[startLen:])
-				return resp != nil
+				return c.Dead() || c.PeerClosed() || httpwire.HasResponse(c.Stream()[startLen:])
 			})
 			// Outcomes: censorship teardown, or an ordinary response.
 			if _, reset := c.WasReset(); reset || c.PeerClosed() {
@@ -88,10 +84,9 @@ func scanPath(ep *ispnet.Endpoint, dst netip.Addr, hosts []string, attempts int,
 				conn = nil
 				continue
 			}
-			if resp := tryParseAll(c.Stream()[startLen:]); resp != nil {
+			if httpwire.HasResponse(c.Stream()[startLen:]) {
 				// Ordinary 404/200 from the destination host.
-				adv := len(c.Stream()) - startLen
-				consumed = startLen + adv
+				consumed = len(c.Stream())
 			}
 		}
 		if blocked {

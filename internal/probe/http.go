@@ -196,13 +196,13 @@ func (p *Probe) TriggerExperiments(domain string, dst netip.Addr) *TriggerReport
 		eng.RunFor(p.Timeout / 2)
 		return nil
 	}
-	ep.Host.StartCapture()
+	ep.Host.StartInboundCapture()
 	raw(&netpkt.TCPSegment{SrcPort: 47001, DstPort: 80, Seq: 9000, Flags: netpkt.SYN, Window: 65535})
 	raw(&netpkt.TCPSegment{SrcPort: 47001, DstPort: 80, Seq: 9001, Ack: 1, Flags: netpkt.PSH | netpkt.ACK, Payload: get})
 	rep.SYNOnlyTriggers = capturedCensorship(ep, 47001)
 	ep.Host.StopCapture()
 
-	ep.Host.StartCapture()
+	ep.Host.StartInboundCapture()
 	raw(&netpkt.TCPSegment{SrcPort: 47002, DstPort: 80, Seq: 9500, Ack: 1, Flags: netpkt.PSH | netpkt.ACK, Payload: get})
 	rep.NoHandshakeTriggers = capturedCensorship(ep, 47002)
 	ep.Host.StopCapture()
@@ -250,7 +250,7 @@ func (p *Probe) NoHandshakeTriggers(domain string, dst netip.Addr, pathHops int)
 	}
 	ep := p.ISP.Client
 	get := httpwire.NewGET("/").Header("Host", domain).Bytes()
-	ep.Host.StartCapture()
+	ep.Host.StartInboundCapture()
 	defer ep.Host.StopCapture()
 	ep.Host.Send(rawTCP(ep, dst, &netpkt.TCPSegment{
 		SrcPort: 47101, DstPort: 80, Seq: 9500, Ack: 1,
@@ -261,7 +261,8 @@ func (p *Probe) NoHandshakeTriggers(domain string, dst netip.Addr, pathHops int)
 }
 
 // capturedCensorship looks for a censorship-looking TCP response to the
-// given raw source port in the endpoint's capture.
+// given raw source port in the endpoint's capture. Only inbound packets
+// are addressed to that port, so an inbound-only window suffices.
 func capturedCensorship(ep *ispnet.Endpoint, srcPort uint16) bool {
 	for _, rec := range ep.Host.Captures() {
 		if rec.Pkt.TCP == nil || rec.Pkt.TCP.DstPort != srcPort {

@@ -19,21 +19,13 @@ import (
 	"repro/internal/httpwire"
 	"repro/internal/ispnet"
 	"repro/internal/netpkt"
-	"repro/internal/netsim"
 	"repro/internal/tcpsim"
 	"repro/internal/websim"
 )
 
-// NotifSignature identifies an ISP from the content of its censorship
-// notification — the attribution heuristic of §6.1 (e.g. Airtel's embedded
-// iframe pointing at airtel.in/dot).
-type NotifSignature struct {
-	ISP    string
-	Marker string
-}
-
-// KnownSignatures are the notification fingerprints the study catalogued.
-var KnownSignatures = []NotifSignature{
+// KnownSignatures are the notification fingerprints the study catalogued
+// (§6.1), e.g. Airtel's embedded iframe pointing at airtel.in/dot.
+var KnownSignatures = []ispnet.NotifSignature{
 	{ISP: "Airtel", Marker: "airtel.in/dot"},
 	{ISP: "Jio", Marker: "49.44.18.2"},
 	{ISP: "Idea", Marker: "competent Government Authority"},
@@ -95,9 +87,13 @@ type FetchResult struct {
 	Reset bool
 	// PeerClosed is true when a FIN was accepted.
 	PeerClosed bool
-	// Responses are the parsed HTTP responses, in order.
+	// Responses are the parsed HTTP responses, in order. Their bodies
+	// alias Stream.
 	Responses []*httpwire.Response
-	// Stream is the raw received byte stream.
+	// Stream is the raw received byte stream. It is the receive buffer of
+	// the fetch's own connection, taken over once that connection is dead,
+	// so nothing writes to it afterwards and later fetches never disturb
+	// it; callers must not modify it either.
 	Stream []byte
 	// Notification is set when the stream matches a known censorship
 	// signature; SignatureISP names the censor.
@@ -129,7 +125,8 @@ func (r *FetchResult) classify(w *ispnet.World) {
 // browser-style request bytes when non-nil.
 func GetFrom(ep *ispnet.Endpoint, dst netip.Addr, domain string, rawRequest []byte, timeout time.Duration) *FetchResult {
 	res := &FetchResult{Domain: domain, Addr: dst}
-	ep.Host.StartCapture()
+	// Only inbound IP IDs are read, so outbound packets go unrecorded.
+	ep.Host.StartInboundCapture()
 	defer ep.Host.StopCapture()
 	c := ep.TCP.Connect(dst, 80)
 	if err := c.WaitEstablished(timeout); err != nil {
@@ -145,76 +142,32 @@ func GetFrom(ep *ispnet.Endpoint, dst netip.Addr, domain string, rawRequest []by
 	}
 	c.Send(req)
 	// Wait for a complete response, teardown, or quiet timeout.
-	ep.Host.Engine().RunFor(timeout / 3)
-	deadline := 3
-	for deadline > 0 {
-		if parsed := tryParseAll(c.Stream()); parsed != nil {
-			res.Responses = parsed
-			break
-		}
-		if c.Dead() || c.PeerClosed() {
-			break
-		}
-		ep.Host.Engine().RunFor(timeout / 3)
-		deadline--
-	}
-	res.Stream = append([]byte(nil), c.Stream()...)
-	if res.Responses == nil {
-		res.Responses = parseAvailable(res.Stream)
+	eng := ep.Host.Engine()
+	eng.RunFor(timeout / 3)
+	for deadline := 3; deadline > 0 && !httpwire.HasResponse(c.Stream()) && !c.Dead() && !c.PeerClosed(); deadline-- {
+		eng.RunFor(timeout / 3)
 	}
 	_, res.Reset = c.WasReset()
 	res.PeerClosed = c.PeerClosed()
 	for _, rec := range ep.Host.Captures() {
-		if rec.Dir == netsim.DirIn && rec.Pkt.IP.ID == 242 {
+		if rec.Pkt.IP.ID == 242 {
 			res.SawIPID242 = true
+			break
 		}
 	}
-	res.classify(ep.World)
-	if !c.Dead() {
+	aborted := !c.Dead()
+	if aborted {
 		c.Abort()
-		ep.Host.Engine().RunFor(10 * time.Millisecond)
+	}
+	// The connection is dead, so its receive buffer never changes again:
+	// the result takes it over instead of copying it.
+	res.Stream = c.Stream()
+	res.Responses = httpwire.ParseResponses(res.Stream)
+	res.classify(ep.World)
+	if aborted {
+		eng.RunFor(10 * time.Millisecond)
 	}
 	return res
-}
-
-// tryParseAll parses the stream only if it holds at least one complete
-// response; returns nil when incomplete.
-func tryParseAll(stream []byte) []*httpwire.Response {
-	if len(stream) == 0 {
-		return nil
-	}
-	var out []*httpwire.Response
-	rest := stream
-	for len(rest) > 0 {
-		resp, r2, err := httpwire.ParseResponse(rest)
-		if err != nil {
-			if err == httpwire.ErrIncomplete && len(out) == 0 {
-				return nil
-			}
-			break
-		}
-		out = append(out, resp)
-		rest = r2
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// parseAvailable parses whatever complete responses the stream holds.
-func parseAvailable(stream []byte) []*httpwire.Response {
-	var out []*httpwire.Response
-	rest := stream
-	for len(rest) > 0 {
-		resp, r2, err := httpwire.ParseResponse(rest)
-		if err != nil {
-			break
-		}
-		out = append(out, resp)
-		rest = r2
-	}
-	return out
 }
 
 // ResolveLocal resolves a domain through the ISP's default resolver.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/httpwire"
 	"repro/internal/ispnet"
 	"repro/internal/netpkt"
-	"repro/internal/netsim"
 	"repro/internal/tcpsim"
 )
 
@@ -36,7 +35,7 @@ func Traceroute(ep *ispnet.Endpoint, dst netip.Addr, maxTTL int, perHop time.Dur
 	eng := ep.Host.Engine()
 	for ttl := 1; ttl <= maxTTL; ttl++ {
 		srcPort := uint16(33434 + ttl)
-		ep.Host.StartCapture()
+		ep.Host.StartInboundCapture()
 		probe := rawTCP(ep, dst, &netpkt.TCPSegment{
 			SrcPort: srcPort, DstPort: 80,
 			Seq: uint32(0x51e00000 + ttl), Flags: netpkt.SYN, Window: 65535,
@@ -46,9 +45,6 @@ func Traceroute(ep *ispnet.Endpoint, dst netip.Addr, maxTTL int, perHop time.Dur
 		hop := Hop{TTL: ttl, Asterisk: true}
 		reached := false
 		for _, rec := range ep.Host.StopCapture() {
-			if rec.Dir != netsim.DirIn {
-				continue
-			}
 			switch {
 			case rec.Pkt.ICMP != nil && rec.Pkt.ICMP.Type == netpkt.ICMPTimeExceeded:
 				if fk, ok := rec.Pkt.ICMP.OriginalFlow(); ok && fk.SrcPort == srcPort {
@@ -114,7 +110,7 @@ func IterativeTraceHTTP(ep *ispnet.Endpoint, dst netip.Addr, domain string, time
 			// happen with fresh ports, but stay robust).
 			continue
 		}
-		ep.Host.StartCapture()
+		ep.Host.StartInboundCapture()
 		c.SendRaw(req, tcpsim.RawOpts{TTL: uint8(ttl), Advance: true})
 		eng.RunFor(timeout / 2)
 		censored := false
@@ -129,7 +125,7 @@ func IterativeTraceHTTP(ep *ispnet.Endpoint, dst netip.Addr, domain string, time
 			}
 		}
 		for _, rec := range ep.Host.StopCapture() {
-			if rec.Dir == netsim.DirIn && rec.Pkt.ICMP != nil && rec.Pkt.ICMP.Type == netpkt.ICMPTimeExceeded {
+			if rec.Pkt.ICMP != nil && rec.Pkt.ICMP.Type == netpkt.ICMPTimeExceeded {
 				if _, seen := res.ICMPAt[ttl]; !seen {
 					res.ICMPAt[ttl] = rec.Pkt.IP.Src
 				}

@@ -1,10 +1,6 @@
 package probe
 
-import (
-	"bytes"
-
-	"repro/internal/ispnet"
-)
+import "repro/internal/ispnet"
 
 // Mechanism labels the evidence that convicted a censored fetch.
 type Mechanism string
@@ -22,33 +18,27 @@ const (
 	MechBlackhole Mechanism = "blackhole"
 )
 
-// MatchSignature scans a received byte stream for a known censorship
-// notification marker and names the ISP it fingerprints (§6.1).
-func MatchSignature(stream []byte) (isp string, ok bool) {
-	for _, sig := range KnownSignatures {
-		if bytes.Contains(stream, []byte(sig.Marker)) {
-			return sig.ISP, true
-		}
-	}
-	return "", false
-}
+// knownSet is KnownSignatures compiled once for matching.
+var knownSet = ispnet.CompileSignatures(KnownSignatures)
 
-// MatchSignatureIn is MatchSignature extended with the world's own
-// notification catalogue — the signatures a researcher inside that world
-// would have assembled by browsing blocked sites (§6.1). Scenario worlds
-// carry custom censors whose notification bodies appear in no paper
-// fleet list; without the world catalogue their overt censorship would
-// be undetectable. The paper list is kept as a fallback so partial or
-// truncated streams still match on the shorter markers.
+// MatchSignatureIn scans a received byte stream for a known censorship
+// notification marker and names the ISP it fingerprints (§6.1). It tries
+// the world's own notification catalogue first — the signatures a
+// researcher inside that world would have assembled by browsing blocked
+// sites. Scenario worlds carry custom censors whose notification bodies
+// appear in no paper fleet list; without the world catalogue their overt
+// censorship would be undetectable. The paper list (KnownSignatures) is
+// kept as a fallback so partial or truncated streams still match on the
+// shorter markers; a nil world matches against it alone. The result is the
+// first signature in that order that occurs, and matching allocates
+// nothing.
 func MatchSignatureIn(w *ispnet.World, stream []byte) (isp string, ok bool) {
 	if w != nil {
-		for _, sig := range w.NotifSignatures() {
-			if bytes.Contains(stream, []byte(sig.Marker)) {
-				return sig.ISP, true
-			}
+		if isp, ok := w.Signatures().Match(stream); ok {
+			return isp, true
 		}
 	}
-	return MatchSignature(stream)
+	return knownSet.Match(stream)
 }
 
 // CensorVerdict applies the shared censored-fetch heuristic used by the

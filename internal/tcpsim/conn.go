@@ -88,7 +88,10 @@ func (c *Conn) RemotePort() uint16 { return c.remotePort }
 // Stream returns the bytes received in order so far. On connections whose
 // owner consumes via ReadStream/Consume the retained prefix may have been
 // compacted away; probe-style callers that never Consume always see the
-// full stream from byte zero.
+// full stream from byte zero. The slice is the connection's own receive
+// buffer, not a copy: it stays unchanged only once the connection is dead,
+// and Consume overwrites it in place, so only the connection's owner may
+// keep it (or anything parsed to alias it) past the next engine step.
 func (c *Conn) Stream() []byte { return c.recvBuf }
 
 // ReadStream returns the received bytes not yet consumed by Consume. It is
