@@ -98,7 +98,7 @@ func WriteJSONL(w io.Writer, results []Result) error {
 
 // ReadJSONL decodes a JSON Lines stream produced by WriteJSONL.
 func ReadJSONL(r io.Reader) ([]Result, error) {
-	dec := json.NewDecoder(r)
+	dec := NewResultDecoder(r)
 	var out []Result
 	for {
 		var res Result

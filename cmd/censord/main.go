@@ -16,9 +16,13 @@
 //	GET  /debug/vars               the same registry as expvar JSON
 //	GET  /v1/scenarios             the scenario preset registry
 //	GET  /v1/runs                  retained runs
-//	POST /v1/campaigns             trigger a run now ({"job":"small"})
+//	POST /v1/campaigns             trigger a run now ({"job":"small"});
+//	                               429 with Retry-After while it runs
 //	GET  /v1/results?vantage=...   filtered results, JSONL
-//	POST /v1/results?scenario=...  ingest a JSONL batch (censorscan -push)
+//	POST /v1/results?scenario=...  ingest a JSONL batch (censorscan -push);
+//	                               400 for a malformed line, 413 for a
+//	                               body over 64 MiB, 422 for a line past
+//	                               the store's 1024-key cap
 //	GET  /v1/summary[?format=text] per-vantage aggregates
 //	GET  /v1/delta?from=N[&to=M]   blocked-domain churn between runs
 //	GET  /debug/pprof/...          profiling (only with -pprof)

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -18,6 +19,10 @@ import (
 // maxPushBytes caps one POST /v1/results body — a defensive bound on
 // top of the store's ring/retention bounds.
 const maxPushBytes = 64 << 20
+
+// busyRetryAfter is the Retry-After, in seconds, of a campaign trigger
+// that finds its job already running.
+const busyRetryAfter = "5"
 
 // HandlerOption configures NewHandler beyond the store and scheduler.
 type HandlerOption func(*handlerConfig)
@@ -49,9 +54,12 @@ func WithMetrics(reg *obs.Registry) HandlerOption {
 //	GET  /debug/vars              expvar JSON (with WithMetrics)
 //	GET  /v1/scenarios            the scenario preset registry
 //	GET  /v1/runs                 retained runs, ascending epoch
-//	POST /v1/campaigns            trigger a job run now: {"job":"name"}
+//	POST /v1/campaigns            trigger a job run now: {"job":"name"};
+//	                              429 while that job is running
 //	GET  /v1/results              filtered results, JSONL streaming
-//	POST /v1/results?scenario=s   ingest a JSONL batch as a new run
+//	POST /v1/results?scenario=s   ingest a JSONL batch as a new run; 400 for
+//	                              a malformed line, 413 past 64 MiB, 422
+//	                              past the store's key cap
 //	GET  /v1/summary?run=N        per-vantage aggregate (or ?format=text)
 //	GET  /v1/delta?from=N&to=M    blocked-domain churn between two runs
 //
@@ -146,8 +154,14 @@ func NewHandler(store *Store, sched *Scheduler, opts ...HandlerOption) http.Hand
 			req.Job = names[0]
 		}
 		// Synchronous: the response is the finished run's info. Client
-		// disconnect cancels the campaign through the request context.
-		info, err := sched.RunOnce(r.Context(), req.Job)
+		// disconnect cancels the campaign through the request context. A
+		// trigger never queues behind a running campaign of its job.
+		info, err := sched.tryRunOnce(r.Context(), req.Job)
+		if errors.Is(err, errJobBusy) {
+			w.Header().Set("Retry-After", busyRetryAfter)
+			httpError(w, http.StatusTooManyRequests, "%v", err)
+			return
+		}
 		if err != nil {
 			if info.Run != 0 {
 				// Partial run: report it with the error recorded.
@@ -186,47 +200,42 @@ func NewHandler(store *Store, sched *Scheduler, opts ...HandlerOption) http.Hand
 		// body is never materialized, so a push cannot grow the daemon
 		// beyond the store's own bounds (plus this defensive per-request
 		// cap), while each WriteBatch pays the run lock once per chunk
-		// instead of once per result on the sharded store.
+		// instead of once per result on the sharded store. On any error
+		// the lines before it are ingested and the partial run is
+		// finalized with its Err, so the truncated ingest is observable
+		// instead of a phantom open run.
 		body := http.MaxBytesReader(w, r.Body, maxPushBytes)
 		sink := store.Begin(scenario, source)
-		dec := json.NewDecoder(body)
-		const pushChunk = 256
-		chunk := make([]censor.Result, 0, pushChunk)
-		ingest := func() error {
-			if len(chunk) == 0 {
-				return nil
-			}
-			err := sink.WriteBatch(chunk)
-			chunk = chunk[:0]
-			return err
+		dec := censor.NewResultDecoder(body)
+		fail := func(status int, err error) {
+			sink.FinishErr(err)
+			httpError(w, status, "%v", err)
 		}
-		for {
-			var res censor.Result
-			if err := dec.Decode(&res); err == io.EOF {
-				break
-			} else if err != nil {
-				// Ingest what decoded cleanly, then finalize the partial
-				// run — its Err makes the truncated ingest observable
-				// instead of leaving a phantom open run.
-				if ierr := ingest(); ierr != nil {
-					err = ierr
+		const pushChunk = 256
+		chunk := make([]censor.Result, pushChunk)
+		var decErr error
+		for decErr == nil {
+			n := 0
+			for ; n < pushChunk; n++ {
+				if decErr = dec.Decode(&chunk[n]); decErr != nil {
+					break
 				}
-				sink.FinishErr(fmt.Errorf("jsonl body: %v", err))
-				httpError(w, http.StatusBadRequest, "jsonl body: %v", err)
+			}
+			if err := sink.WriteBatch(chunk[:n]); errors.Is(err, ErrTooManyKeys) {
+				fail(http.StatusUnprocessableEntity, err)
+				return
+			} else if err != nil {
+				fail(http.StatusInternalServerError, err)
 				return
 			}
-			chunk = append(chunk, res)
-			if len(chunk) == pushChunk {
-				if err := ingest(); err != nil {
-					sink.FinishErr(err)
-					httpError(w, http.StatusInternalServerError, "%v", err)
-					return
-				}
-			}
 		}
-		if err := ingest(); err != nil {
-			sink.FinishErr(err)
-			httpError(w, http.StatusInternalServerError, "%v", err)
+		if decErr != io.EOF {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(decErr, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			fail(status, fmt.Errorf("jsonl body: %w", decErr))
 			return
 		}
 		if err := sink.Flush(); err != nil {

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -125,15 +126,29 @@ func (s *Scheduler) Session(name string) (*censor.Session, bool) {
 // error recorded). The run's source is "scheduler" for scheduled
 // firings and "api" when triggered through the HTTP handler.
 func (s *Scheduler) RunOnce(ctx context.Context, name string) (RunInfo, error) {
-	return s.runOnce(ctx, name, "api")
+	return s.runOnce(ctx, name, "api", false)
 }
 
-func (s *Scheduler) runOnce(ctx context.Context, name, source string) (RunInfo, error) {
+// errJobBusy is tryRunOnce's answer while the job is running.
+var errJobBusy = errors.New("monitor: job is already running")
+
+// tryRunOnce is RunOnce for the HTTP trigger: instead of queueing behind
+// a running campaign (and holding the request for both), it fails at
+// once with errJobBusy.
+func (s *Scheduler) tryRunOnce(ctx context.Context, name string) (RunInfo, error) {
+	return s.runOnce(ctx, name, "api", true)
+}
+
+func (s *Scheduler) runOnce(ctx context.Context, name, source string, try bool) (RunInfo, error) {
 	j, ok := s.jobs[name]
 	if !ok {
 		return RunInfo{}, fmt.Errorf("monitor: unknown job %q (registered: %v)", name, s.names)
 	}
-	j.mu.Lock()
+	if !try {
+		j.mu.Lock()
+	} else if !j.mu.TryLock() {
+		return RunInfo{}, errJobBusy
+	}
 	defer j.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		// Cancelled while waiting behind the previous run (or at
@@ -197,7 +212,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 				// Errors here are cancellations or sink failures; the run
 				// records them (RunInfo.Err) and the loop keeps going — a
 				// monitoring service outlives one bad campaign.
-				s.runOnce(ctx, name, "scheduler") //nolint:errcheck
+				s.runOnce(ctx, name, "scheduler", false) //nolint:errcheck
 			}
 		}(name, j)
 	}

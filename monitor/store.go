@@ -32,6 +32,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -49,6 +50,18 @@ import (
 type key struct {
 	Scenario, Vantage, Measurement string
 }
+
+// maxStoreKeys caps the distinct (scenario, vantage, measurement) keys a
+// store holds, and with them its raw-result memory: at most maxStoreKeys
+// rings of the ring size each. The six presets' 9 vantages and 8
+// detectors need 432 keys.
+const maxStoreKeys = 1024
+
+// ErrTooManyKeys is the error of a write that would add a (scenario,
+// vantage, measurement) key to a store that already holds its cap of
+// distinct keys. Results of keys the store already holds are still
+// accepted.
+var ErrTooManyKeys = errors.New("monitor: store holds its cap of distinct (scenario, vantage, measurement) keys")
 
 // storeShards is the fixed shard count for the raw-result rings. A
 // power of two so shardFor reduces with a mask; 64 comfortably exceeds
@@ -142,16 +155,22 @@ func (st *runState) infoCopy() RunInfo {
 	return st.info
 }
 
-// ring is a fixed-capacity result buffer: append overwrites the oldest
-// entry once full.
+// ring is a bounded result buffer: it grows by doubling up to its size,
+// then append overwrites the oldest entry.
 type ring struct {
 	buf     []StoredResult
 	head, n int
 }
 
-func (rg *ring) append(r StoredResult) (evicted bool) {
-	if rg.n < len(rg.buf) {
-		rg.buf[(rg.head+rg.n)%len(rg.buf)] = r
+func (rg *ring) append(r StoredResult, size int) (evicted bool) {
+	if rg.n < size {
+		// Not yet full, so not yet wrapped: head is 0.
+		if rg.n == len(rg.buf) {
+			grown := make([]StoredResult, min(max(4, 2*rg.n), size))
+			copy(grown, rg.buf)
+			rg.buf = grown
+		}
+		rg.buf[rg.n] = r
 		rg.n++
 		return false
 	}
@@ -181,7 +200,8 @@ func (rg *ring) each(fn func(StoredResult)) {
 // for the ring append; writers to different runs and different
 // (scenario, vantage, measurement) keys proceed in parallel. Memory is
 // bounded on both axes: raw results by per-key ring buffers
-// (WithRingSize), roll-ups by run retention (WithRunRetention).
+// (WithRingSize) and a cap on distinct keys (ErrTooManyKeys), roll-ups
+// by run retention (WithRunRetention).
 type Store struct {
 	ringSize int
 	runCap   int
@@ -196,6 +216,8 @@ type Store struct {
 	nextSeq  atomic.Uint64 // global ingestion order
 	ingested atomic.Uint64 // results ever written
 	evicted  atomic.Uint64 // results displaced from rings
+	rejected atomic.Uint64 // results refused for a key past the cap
+	keys     atomic.Int64  // distinct ring keys
 
 	// obs mirrors of the counters above, plus run opens; nil (no-op)
 	// instruments unless WithTelemetry was given.
@@ -203,6 +225,7 @@ type Store struct {
 	cRuns     *obs.Counter
 	cIngested *obs.Counter
 	cEvicted  *obs.Counter
+	cRejected *obs.Counter
 
 	directMu sync.Mutex
 	direct   *RunSink // implicit run behind the Sink interface
@@ -238,8 +261,9 @@ func withClock(fn func() time.Time) StoreOption {
 }
 
 // WithTelemetry mirrors the store's counters — runs opened, results
-// ingested, ring evictions — into reg under the monitor_* prefix, for
-// the /metrics endpoint. A nil registry leaves them as no-ops.
+// ingested, ring evictions, results rejected — into reg under the
+// monitor_* prefix, for the /metrics endpoint. A nil registry leaves
+// them as no-ops.
 func WithTelemetry(reg *obs.Registry) StoreOption {
 	return func(s *Store) { s.reg = reg }
 }
@@ -261,6 +285,7 @@ func NewStore(opts ...StoreOption) *Store {
 	s.cRuns = s.reg.Counter("monitor_runs_total")
 	s.cIngested = s.reg.Counter("monitor_results_ingested_total")
 	s.cEvicted = s.reg.Counter("monitor_results_evicted_total")
+	s.cRejected = s.reg.Counter("monitor_results_rejected_total")
 	return s
 }
 
@@ -312,50 +337,61 @@ func (s *Store) Begin(scenario, source string) *RunSink {
 // Run returns the sink's run epoch.
 func (rs *RunSink) Run() int { return rs.run }
 
-// Write ingests one result into the sink's run.
+// Write ingests one result into the sink's run. It fails with
+// ErrTooManyKeys when the result's key would exceed the store's cap.
 func (rs *RunSink) Write(r censor.Result) error {
-	st := rs.st
-	st.mu.Lock()
-	if st.info.Done {
-		st.mu.Unlock()
-		return fmt.Errorf("monitor: run %d already finished", rs.run)
-	}
-	rollupLocked(st, &r)
-	st.mu.Unlock()
-	st.agg.Write(r) // same fold as a drained AggregateSink
-	rs.s.appendRaw(st.info.Scenario, rs.run, r)
-	return nil
+	one := [1]censor.Result{r}
+	return rs.WriteBatch(one[:])
 }
 
-// WriteBatch ingests one task's results: the run roll-ups fold under a
-// single run-lock round-trip, the aggregate under one of its own, and
-// the ring appends group consecutive same-key results so a campaign
-// task (one vantage, one measurement) costs one shard lock, not one
-// per result.
+// WriteBatch ingests one task's results: the ring appends group
+// consecutive same-key results so a campaign task (one vantage, one
+// measurement) costs one shard lock, not one per result; then the run
+// roll-ups fold under a single run-lock round-trip and the aggregate
+// under one of its own. At the first result whose key would exceed the
+// store's cap it stops: the results before it are ingested, it and the
+// rest are not, and the error is ErrTooManyKeys.
 func (rs *RunSink) WriteBatch(batch []censor.Result) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	st := rs.st
-	st.mu.Lock()
-	if st.info.Done {
-		st.mu.Unlock()
-		return fmt.Errorf("monitor: run %d already finished", rs.run)
+	if err := rs.open(); err != nil {
+		return err
 	}
-	for i := range batch {
-		rollupLocked(st, &batch[i])
-	}
-	st.mu.Unlock()
-	st.agg.WriteBatch(batch)
-	for start := 0; start < len(batch); {
-		end := start + 1
+	n := 0
+	var err error
+	for n < len(batch) {
+		end := n + 1
 		for end < len(batch) &&
-			batch[end].Vantage == batch[start].Vantage &&
-			batch[end].Measurement == batch[start].Measurement {
+			batch[end].Vantage == batch[n].Vantage &&
+			batch[end].Measurement == batch[n].Measurement {
 			end++
 		}
-		rs.s.appendRawGroup(st.info.Scenario, rs.run, batch[start:end])
-		start = end
+		if err = rs.s.appendRawGroup(rs.st.info.Scenario, rs.run, batch[n:end]); err != nil {
+			rs.s.reject(len(batch) - n)
+			break
+		}
+		n = end
+	}
+	if n > 0 {
+		st := rs.st
+		st.mu.Lock()
+		for i := range batch[:n] {
+			rollupLocked(st, &batch[i])
+		}
+		st.mu.Unlock()
+		st.agg.WriteBatch(batch[:n]) // same fold as a drained AggregateSink
+	}
+	return err
+}
+
+// open fails once the run is finished.
+func (rs *RunSink) open() error {
+	rs.st.mu.Lock()
+	done := rs.st.info.Done
+	rs.st.mu.Unlock()
+	if done {
+		return fmt.Errorf("monitor: run %d already finished", rs.run)
 	}
 	return nil
 }
@@ -378,53 +414,51 @@ func rollupLocked(st *runState, r *censor.Result) {
 	}
 }
 
-// appendRaw lands one result in its key's ring.
-func (s *Store) appendRaw(scenario string, run int, r censor.Result) {
-	k := key{Scenario: scenario, Vantage: r.Vantage, Measurement: r.Measurement}
-	sh := &s.shards[shardFor(k)]
-	sh.mu.Lock()
-	evicted := s.ringAppendLocked(sh, k, run, r)
-	sh.mu.Unlock()
-	if evicted {
-		s.countAppend(1, 1)
-	} else {
-		s.countAppend(1, 0)
-	}
-}
-
 // appendRawGroup lands a same-key group of results under one shard
-// lock.
-func (s *Store) appendRawGroup(scenario string, run int, rs []censor.Result) {
+// lock, stamping each with the global sequence number and ingestion
+// time.
+func (s *Store) appendRawGroup(scenario string, run int, rs []censor.Result) error {
 	k := key{Scenario: scenario, Vantage: rs[0].Vantage, Measurement: rs[0].Measurement}
 	sh := &s.shards[shardFor(k)]
-	evicted := 0
 	sh.mu.Lock()
+	rg := s.ringLocked(sh, k)
+	if rg == nil {
+		sh.mu.Unlock()
+		return ErrTooManyKeys
+	}
+	evicted := 0
 	for i := range rs {
-		if s.ringAppendLocked(sh, k, run, rs[i]) {
+		stored := StoredResult{Result: rs[i], Run: run, Scenario: scenario, Seq: s.nextSeq.Add(1), Time: s.clock()}
+		if rg.append(stored, s.ringSize) {
 			evicted++
 		}
 	}
 	sh.mu.Unlock()
 	s.countAppend(len(rs), evicted)
+	return nil
 }
 
-// ringAppendLocked appends one result to its ring (creating it on first
-// use), stamping the global sequence number and ingestion time. Caller
-// holds the shard lock.
-func (s *Store) ringAppendLocked(sh *storeShard, k key, run int, r censor.Result) (evicted bool) {
-	rg, ok := sh.rings[k]
-	if !ok {
-		rg = &ring{buf: make([]StoredResult, s.ringSize)}
-		sh.rings[k] = rg
-		sh.keys = append(sh.keys, k)
+// ringLocked returns the key's ring, creating it on first use, or nil
+// when a new key would exceed the store's cap. Caller holds the shard
+// lock.
+func (s *Store) ringLocked(sh *storeShard, k key) *ring {
+	if rg, ok := sh.rings[k]; ok {
+		return rg
 	}
-	return rg.append(StoredResult{
-		Result:   r,
-		Run:      run,
-		Scenario: k.Scenario,
-		Seq:      s.nextSeq.Add(1),
-		Time:     s.clock(),
-	})
+	if s.keys.Add(1) > maxStoreKeys {
+		s.keys.Add(-1)
+		return nil
+	}
+	rg := &ring{}
+	sh.rings[k] = rg
+	sh.keys = append(sh.keys, k)
+	return rg
+}
+
+// reject counts results refused for a key past the cap.
+func (s *Store) reject(n int) {
+	s.rejected.Add(uint64(n))
+	s.cRejected.Add(uint64(n))
 }
 
 // countAppend advances the lifetime counters after ring appends.
@@ -525,11 +559,21 @@ type Stats struct {
 	Results  int    `json:"results"`
 	Ingested uint64 `json:"ingested"`
 	Evicted  uint64 `json:"evicted"`
+	// Keys counts distinct (scenario, vantage, measurement) keys, and
+	// Rejected the results refused because a new key would exceed the
+	// store's cap.
+	Keys     int    `json:"keys"`
+	Rejected uint64 `json:"rejected"`
 }
 
 // Stats reports the store's counters.
 func (s *Store) Stats() Stats {
-	st := Stats{Ingested: s.ingested.Load(), Evicted: s.evicted.Load()}
+	st := Stats{
+		Ingested: s.ingested.Load(),
+		Evicted:  s.evicted.Load(),
+		Keys:     int(s.keys.Load()),
+		Rejected: s.rejected.Load(),
+	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
