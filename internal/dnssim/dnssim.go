@@ -11,6 +11,7 @@
 package dnssim
 
 import (
+	"math/bits"
 	"net/netip"
 	"sort"
 	"time"
@@ -46,10 +47,35 @@ func (a *CatalogAuthority) Lookup(domain string, region websim.Region) ([]netip.
 	return []netip.Addr{addr}, dnswire.RCodeNoError
 }
 
-// Poison describes how a poisoned resolver answers one censored domain.
-type Poison struct {
-	Addr netip.Addr // the manipulated answer (ISP block host or bogon)
+// DomainIndex numbers the censored domains one operator's resolvers may
+// poison. It is built once per operator and shared read-only by all of
+// its resolvers; each poisoned resolver holds its own list as a bitset
+// over the index.
+type DomainIndex struct {
+	names []string         // position -> domain
+	pos   map[string]int32 // domain -> position
 }
+
+// NewDomainIndex numbers domains in the given order.
+func NewDomainIndex(domains []string) *DomainIndex {
+	x := &DomainIndex{names: domains, pos: make(map[string]int32, len(domains))}
+	for i, d := range domains {
+		x.pos[d] = int32(i)
+	}
+	return x
+}
+
+// NewSet returns an empty set over the index's positions.
+func (x *DomainIndex) NewSet() DomainSet { return make(DomainSet, (len(x.names)+63)/64) }
+
+// DomainSet is a bitset of DomainIndex positions.
+type DomainSet []uint64
+
+// Add puts position i in the set.
+func (s DomainSet) Add(i int) { s[i>>6] |= 1 << (i & 63) }
+
+// Has reports whether position i is in the set.
+func (s DomainSet) Has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
 
 // Resolver is one recursive resolver host.
 type Resolver struct {
@@ -58,7 +84,11 @@ type Resolver struct {
 	authority Authority
 	latency   time.Duration
 
-	poison map[string]Poison
+	// The poisoned domains: the positions of index set in poisoned, each
+	// answered with poisonAddr(domain). Nil index: an honest resolver.
+	index      *DomainIndex
+	poisoned   DomainSet
+	poisonAddr func(domain string) netip.Addr
 
 	// Queries and PoisonedAnswers count traffic for metrics.
 	Queries         int
@@ -67,10 +97,7 @@ type Resolver struct {
 
 // NewResolver binds resolver logic to a host's UDP port 53.
 func NewResolver(h *netsim.Host, region websim.Region, authority Authority, latency time.Duration) *Resolver {
-	r := &Resolver{
-		host: h, region: region, authority: authority, latency: latency,
-		poison: make(map[string]Poison),
-	}
+	r := &Resolver{host: h, region: region, authority: authority, latency: latency}
 	h.SetUDPHandler(53, r.handle)
 	return r
 }
@@ -81,24 +108,49 @@ func (r *Resolver) Host() *netsim.Host { return r.host }
 // Addr returns the resolver's address.
 func (r *Resolver) Addr() netip.Addr { return r.host.Addr() }
 
-// PoisonDomain makes the resolver answer domain with the given address.
-func (r *Resolver) PoisonDomain(domain string, p Poison) { r.poison[domain] = p }
+// Poison makes the resolver manipulate the domains whose index positions
+// are in set, answering each with addr(domain). addr runs on every
+// poisoned query, so it must be cheap and must not allocate.
+func (r *Resolver) Poison(index *DomainIndex, set DomainSet, addr func(domain string) netip.Addr) {
+	r.index, r.poisoned, r.poisonAddr = index, set, addr
+}
 
 // Poisoned reports whether the resolver manipulates any domain.
-func (r *Resolver) Poisoned() bool { return len(r.poison) > 0 }
+func (r *Resolver) Poisoned() bool {
+	for _, w := range r.poisoned {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // PoisonsDomain reports whether the resolver manipulates one domain.
 func (r *Resolver) PoisonsDomain(domain string) bool {
-	_, ok := r.poison[domain]
-	return ok
+	if r.index == nil {
+		return false
+	}
+	i, ok := r.index.pos[domain]
+	return ok && r.poisoned.Has(int(i))
+}
+
+// PoisonAnswer returns the manipulated answer the resolver gives for
+// domain, and whether it manipulates domain at all.
+func (r *Resolver) PoisonAnswer(domain string) (netip.Addr, bool) {
+	if !r.PoisonsDomain(domain) {
+		return netip.Addr{}, false
+	}
+	return r.poisonAddr(domain), true
 }
 
 // PoisonList returns the censored domains this resolver manipulates,
 // sorted so the same configuration always lists the same way.
 func (r *Resolver) PoisonList() []string {
-	out := make([]string, 0, len(r.poison))
-	for d := range r.poison {
-		out = append(out, d)
+	var out []string
+	for i, w := range r.poisoned {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, r.index.names[i*64+bits.TrailingZeros64(w)])
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -120,9 +172,9 @@ func (r *Resolver) handle(pkt *netpkt.Packet) {
 	r.Queries++
 	domain := q.Questions[0].Name
 	var resp *dnswire.Message
-	if p, bad := r.poison[domain]; bad {
+	if addr, bad := r.PoisonAnswer(domain); bad {
 		r.PoisonedAnswers++
-		resp = q.Answer(dnswire.RCodeNoError, 60, p.Addr)
+		resp = q.Answer(dnswire.RCodeNoError, 60, addr)
 	} else {
 		addrs, rcode := r.authority.Lookup(domain, r.region)
 		resp = q.Answer(rcode, 300, addrs...)

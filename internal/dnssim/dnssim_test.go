@@ -56,6 +56,16 @@ func newFixture(t *testing.T, hops int) *fixture {
 	}
 }
 
+// poison makes the fixture's resolver answer domain with addr. PBW[1]
+// shares the index but stays out of the set, like a domain on the ISP's
+// list that this resolver leaves alone.
+func (f *fixture) poison(domain string, addr netip.Addr) {
+	index := NewDomainIndex([]string{f.cat.PBW[1].Domain, domain})
+	set := index.NewSet()
+	set.Add(1)
+	f.resolver.Poison(index, set, func(string) netip.Addr { return addr })
+}
+
 func TestResolveHonest(t *testing.T) {
 	f := newFixture(t, 3)
 	var normal *websim.Site
@@ -107,7 +117,7 @@ func TestPoisonedResolver(t *testing.T) {
 	f := newFixture(t, 3)
 	victim := f.cat.PBW[0]
 	blockIP := netip.MustParseAddr("10.1.255.1")
-	f.resolver.PoisonDomain(victim.Domain, Poison{Addr: blockIP})
+	f.poison(victim.Domain, blockIP)
 	addrs, rcode, err := f.client.ResolveA(f.resolver.Addr(), victim.Domain, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +136,28 @@ func TestPoisonedResolver(t *testing.T) {
 	}
 	if addrs[0] == blockIP {
 		t.Error("unpoisoned domain got the block IP")
+	}
+}
+
+func TestPoisonSetQueries(t *testing.T) {
+	f := newFixture(t, 3)
+	victim, other := f.cat.PBW[0].Domain, f.cat.PBW[1].Domain
+	if f.resolver.Poisoned() || f.resolver.PoisonsDomain(victim) || len(f.resolver.PoisonList()) != 0 {
+		t.Fatal("a fresh resolver must be honest")
+	}
+	blockIP := netip.MustParseAddr("10.1.255.1")
+	f.poison(victim, blockIP)
+	if !f.resolver.Poisoned() || !f.resolver.PoisonsDomain(victim) || f.resolver.PoisonsDomain(other) {
+		t.Error("poison set membership wrong")
+	}
+	if got := f.resolver.PoisonList(); len(got) != 1 || got[0] != victim {
+		t.Errorf("PoisonList = %v, want [%s]", got, victim)
+	}
+	if addr, ok := f.resolver.PoisonAnswer(victim); !ok || addr != blockIP {
+		t.Errorf("PoisonAnswer(victim) = %v %v", addr, ok)
+	}
+	if _, ok := f.resolver.PoisonAnswer(other); ok {
+		t.Error("PoisonAnswer must refuse a domain outside the set")
 	}
 }
 
@@ -163,7 +195,7 @@ func TestQueryAsyncScan(t *testing.T) {
 func TestTTLProbePoisoningSignature(t *testing.T) {
 	f := newFixture(t, 4)
 	victim := f.cat.PBW[0]
-	f.resolver.PoisonDomain(victim.Domain, Poison{Addr: netip.MustParseAddr("10.1.255.1")})
+	f.poison(victim.Domain, netip.MustParseAddr("10.1.255.1"))
 	hops := f.net.HopsBetween(f.chost, f.resolver.Host())
 	for ttl := 1; ttl < hops; ttl++ {
 		if _, _, ok := f.client.TTLProbe(f.resolver.Addr(), victim.Domain, uint8(ttl), 300*time.Millisecond); ok {

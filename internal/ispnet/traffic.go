@@ -64,7 +64,7 @@ func (w *World) trafficTargets() []trafficgen.Target {
 		if err != nil {
 			panic(fmt.Sprintf("trafficgen: render ClientHello for %s: %v", d, err))
 		}
-		query, err := dnswire.NewQuery(uint16(hashStr(d)), d).Marshal()
+		query, err := dnswire.NewQuery(uint16(fnvOffset.str(d)), d).Marshal()
 		if err != nil {
 			panic(fmt.Sprintf("trafficgen: render DNS query for %s: %v", d, err))
 		}
@@ -81,15 +81,17 @@ func (w *World) trafficTargets() []trafficgen.Target {
 
 // tlsRandom derives a deterministic ClientHello random for a domain from
 // the build-time string hash — no engine randomness, so rendering targets
-// never perturbs the world's draw sequence.
+// never perturbs the world's draw sequence. Word 0 hashes
+// "<domain>|tls-random", word k "<domain>|tls-random|<8(k-1)>".
 func tlsRandom(domain string) [32]byte {
 	var out [32]byte
-	h := hashStr(domain + "|tls-random")
+	seed := fnvOffset.str(domain).str("|tls-random")
+	h := uint64(seed)
 	for i := 0; i < 32; i += 8 {
 		for j := 0; j < 8; j++ {
 			out[i+j] = byte(h >> (8 * j))
 		}
-		h = hashStr(fmt.Sprintf("%s|tls-random|%d", domain, i))
+		h = uint64(seed.str("|").int(i))
 	}
 	return out
 }

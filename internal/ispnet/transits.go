@@ -191,10 +191,14 @@ type podRange struct {
 
 // install compiles the rules into address ranges, in rule order so the
 // first matching prefix still wins, and installs the policy. Packets carry
-// IPv4 only, so IPv6 prefixes and destinations never match.
+// IPv4 only, so IPv6 prefixes and destinations never match. A next hop
+// must be linked to the pod: a policy only picks among adjacent routers.
 func (pp *podPolicy) install() {
 	var ranges []podRange
 	for _, r := range pp.rules {
+		if !pp.pod.Network().Linked(pp.pod, r.next) {
+			panic(fmt.Sprintf("ispnet: pod policy at %s names %s, which is not linked to it", pp.pod.Name, r.next.Name))
+		}
 		for _, pfx := range r.prefixes {
 			if !pfx.Addr().Is4() {
 				continue

@@ -1,10 +1,11 @@
 package ispnet
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/dnssim"
@@ -245,57 +246,89 @@ func (w *World) Reset() {
 	}
 }
 
-func hashStr(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// fnv64 is an FNV-1a 64 hash state. Build-time keys are hashed by
+// streaming their pieces into it: the same bytes, and so the same sum, as
+// hash/fnv over the concatenated key, with nothing allocated. A state
+// that has taken a shared prefix can be kept and extended many times.
+type fnv64 uint64
+
+const (
+	fnvOffset fnv64 = 14695981039346656037
+	fnvPrime  fnv64 = 1099511628211
+)
+
+// str hashes in the bytes of s.
+func (h fnv64) str(s string) fnv64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// int hashes in v in decimal, as fmt's %d prints it.
+func (h fnv64) int(v int) fnv64 {
+	var buf [20]byte
+	for _, c := range strconv.AppendInt(buf[:0], int64(v), 10) {
+		h = (h ^ fnv64(c)) * fnvPrime
+	}
+	return h
 }
 
 // pickDomains deterministically selects count domains from all, keyed by
-// salt, returned in original (website-ID) order.
+// salt, returned in original (website-ID) order: the count domains whose
+// salted hashes are smallest, ties broken by position.
 func pickDomains(all []string, count int, salt string) []string {
 	if count >= len(all) {
 		out := make([]string, len(all))
 		copy(out, all)
 		return out
 	}
-	idx := make([]int, len(all))
-	for i := range idx {
-		idx[i] = i
-	}
 	// Salt goes first: FNV-1a mixes a shared suffix through the same final
 	// bijection for every domain, which can preserve relative order; a
 	// differing prefix perturbs the whole hash.
-	sort.Slice(idx, func(a, b int) bool {
-		ha, hb := hashStr(salt+"|"+all[idx[a]]), hashStr(salt+"|"+all[idx[b]])
-		if ha != hb {
-			return ha < hb
+	seed := fnvOffset.str(salt).str("|")
+	type keyed struct {
+		h uint64
+		i int
+	}
+	order := make([]keyed, len(all))
+	for i, d := range all {
+		order[i] = keyed{uint64(seed.str(d)), i}
+	}
+	slices.SortFunc(order, func(a, b keyed) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return a.i - b.i
 	})
-	chosen := append([]int(nil), idx[:count]...)
-	sort.Ints(chosen)
-	out := make([]string, count)
-	for i, j := range chosen {
-		out[i] = all[j]
+	chosen := make([]bool, len(all))
+	for _, k := range order[:count] {
+		chosen[k.i] = true
+	}
+	out := make([]string, 0, count)
+	for i, d := range all {
+		if chosen[i] {
+			out = append(out, d)
+		}
 	}
 	return out
 }
 
-// circulantLists spreads domains across K boxes so that each domain sits on
-// about s*K consecutive boxes (at least one). Per-URL widths average s*K,
-// making the measured consistency metric land on s while keeping the union
-// equal to the full list — the structure behind Figures 2 and 5.
-func circulantLists(domains []string, K int, s float64, salt string) []([]string) {
-	lists := make([][]string, K)
+// circulant spreads domains across K boxes so that each domain sits on
+// about s*K consecutive boxes (at least one), calling put(box, r) for
+// each placement of domains[r], in ascending r. Per-URL widths average
+// s*K, making the measured consistency metric land on s while keeping the
+// union equal to the full list — the structure behind Figures 2 and 5.
+func circulant(domains []string, K int, s float64, salt string, put func(box, r int)) {
 	if K == 0 {
-		return lists
+		return
 	}
 	base := int(s * float64(K))
 	frac := s*float64(K) - float64(base)
+	seed := fnvOffset.str("w|").str(salt).str("|")
 	for r, d := range domains {
 		w := base
-		if hashStr("w|"+salt+"|"+d)%1000 < uint64(frac*1000) {
+		if uint64(seed.str(d))%1000 < uint64(frac*1000) {
 			w++
 		}
 		if w < 1 {
@@ -308,10 +341,15 @@ func circulantLists(domains []string, K int, s float64, salt string) []([]string
 		// boxes beyond len(domains)+w empty whenever K > len(domains).
 		start := r * K / len(domains)
 		for m := 0; m < w; m++ {
-			b := (start + m) % K
-			lists[b] = append(lists[b], d)
+			put((start+m)%K, r)
 		}
 	}
+}
+
+// circulantLists is circulant's placement as one domain list per box.
+func circulantLists(domains []string, K int, s float64, salt string) [][]string {
+	lists := make([][]string, K)
+	circulant(domains, K, s, salt, func(b, r int) { lists[b] = append(lists[b], domains[r]) })
 	return lists
 }
 
@@ -459,7 +497,7 @@ func (w *World) buildWeb() {
 	for _, site := range all {
 		switch site.Kind {
 		case websim.KindNormal, websim.KindDynamic:
-			p := int(hashStr("pod|"+site.Domain) % uint64(w.Cfg.Pods))
+			p := int(uint64(fnvOffset.str("pod|").str(site.Domain)) % uint64(w.Cfg.Pods))
 			region := w.podRegion(p)
 			site.HomeRegion = region
 			addr := w.podAddr(p)
@@ -469,9 +507,9 @@ func (w *World) buildWeb() {
 				site.Addrs[rg] = addr
 			}
 		case websim.KindCDN:
-			if hashStr("anycast|"+site.Domain)%100 < 75 {
+			if uint64(fnvOffset.str("anycast|").str(site.Domain))%100 < 75 {
 				// Anycast edge: one IP worldwide, geo-dependent content.
-				ep := cdnAny[hashStr("anyedge|"+site.Domain)%uint64(len(cdnAny))]
+				ep := cdnAny[uint64(fnvOffset.str("anyedge|").str(site.Domain))%uint64(len(cdnAny))]
 				ep.Server.Host(site)
 				for _, rg := range w.Catalog.Regions {
 					site.Addrs[rg] = ep.Addr()
@@ -490,7 +528,7 @@ func (w *World) buildWeb() {
 			}
 		case websim.KindGone:
 			// Resolves into a claimed prefix where nothing listens.
-			p := int(hashStr("pod|"+site.Domain) % uint64(w.Cfg.Pods))
+			p := int(uint64(fnvOffset.str("pod|").str(site.Domain)) % uint64(w.Cfg.Pods))
 			addr := netip.AddrFrom4([4]byte{199, byte(p), 250, byte(1 + site.PBWIndex%250)})
 			for _, rg := range w.Catalog.Regions {
 				site.Addrs[rg] = addr
@@ -614,22 +652,31 @@ func (w *World) buildISP(p *Profile) {
 	}
 
 	// DNS poisoning: the first PoisonedResolvers resolvers get circulant
-	// poison lists; the client's default resolver (#0) keeps only its
-	// first ClientResolverSize entries.
+	// poison sets over one shared index of the ISP's DNS list; the
+	// client's default resolver (#0) keeps only its first
+	// ClientResolverSize entries.
 	if p.Censor == CensorDNS && p.PoisonedResolvers > 0 {
 		k := p.PoisonedResolvers
 		if k > len(isp.Resolvers) {
 			k = len(isp.Resolvers)
 		}
-		lists := circulantLists(isp.DNSList, k, p.DNSConsistency, p.Name+"|dns")
-		for i := 0; i < k; i++ {
-			list := lists[i]
-			if i == 0 && p.ClientResolverSize > 0 && len(list) > p.ClientResolverSize {
-				list = list[:p.ClientResolverSize]
+		index := dnssim.NewDomainIndex(isp.DNSList)
+		sets := make([]dnssim.DomainSet, k)
+		for i := range sets {
+			sets[i] = index.NewSet()
+		}
+		kept0 := 0
+		circulant(isp.DNSList, k, p.DNSConsistency, p.Name+"|dns", func(b, r int) {
+			if b == 0 && p.ClientResolverSize > 0 {
+				if kept0 == p.ClientResolverSize {
+					return
+				}
+				kept0++
 			}
-			for _, d := range list {
-				isp.Resolvers[i].PoisonDomain(d, dnssim.Poison{Addr: w.poisonAddr(isp, i, d)})
-			}
+			sets[b].Add(r)
+		})
+		for i, set := range sets {
+			isp.Resolvers[i].Poison(index, set, isp.poisonAddr(i))
 		}
 	}
 	if len(isp.Resolvers) > 0 {
@@ -658,15 +705,21 @@ func scaled(n int, w *World) int {
 	return v
 }
 
-// poisonAddr picks the manipulated answer for a (resolver, domain) pair:
-// mostly the ISP's static block host, sometimes a bogon — both patterns the
-// paper's frequency analysis observed.
-func (w *World) poisonAddr(isp *ISP, resolver int, domain string) netip.Addr {
-	h := hashStr(fmt.Sprintf("%s|%d|%s|poison", isp.Name, resolver, domain))
-	if h%100 < 70 {
-		return isp.BlockIP
+// poisonAddr returns how resolver answers a domain it poisons: mostly
+// with the ISP's static block host, sometimes with a bogon — both patterns
+// the paper's frequency analysis observed. The choice hashes
+// "<isp>|<resolver>|<domain>|poison"; the prefix is hashed once here, so
+// each answer streams only the domain and allocates nothing.
+func (isp *ISP) poisonAddr(resolver int) func(domain string) netip.Addr {
+	seed := fnvOffset.str(isp.Name).str("|").int(resolver).str("|")
+	block := isp.BlockIP
+	return func(domain string) netip.Addr {
+		h := uint64(seed.str(domain).str("|poison"))
+		if h%100 < 70 {
+			return block
+		}
+		return netip.AddrFrom4([4]byte{10, 66, byte(h >> 8), byte(h >> 16)})
 	}
-	return netip.AddrFrom4([4]byte{10, 66, byte(h >> 8), byte(h >> 16)})
 }
 
 // deployBox instantiates one middlebox and registers it.

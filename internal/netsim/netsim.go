@@ -13,8 +13,9 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/netpkt"
@@ -99,12 +100,16 @@ type Network struct {
 	// hop closer to d. Used for packets that have left their canonical
 	// path (policy detours, spoofed sources, router-originated ICMP).
 	nextHop []int32
-	// pairPath[a*R+b] (a<b) is the canonical router path between a and b,
-	// inclusive. Both directions of a flow follow this same path, so
-	// on-path middleboxes observe complete conversations, matching the
-	// symmetric intra-AS routing the paper's methodology relies on.
-	pairPath [][]int32
-	built    bool
+	// pathArena holds the canonical router path of every connected pair
+	// a<b, inclusive, back to back in (a, b) order; pathOff[k] and
+	// pathOff[k+1] bound the path of the k-th pair (see pairPath), and
+	// are equal for a disconnected one.
+	// Both directions of a flow follow this same path, so on-path
+	// middleboxes observe complete conversations, matching the symmetric
+	// intra-AS routing the paper's methodology relies on.
+	pathArena []int32
+	pathOff   []int32
+	built     bool
 
 	// Drops counts packets dropped for having no route or no receiving
 	// host; useful for experiment sanity checks.
@@ -282,8 +287,8 @@ func (n *Network) RebindPool() { n.pool.Rebind() }
 func (n *Network) Build() {
 	R := len(n.routers)
 	// Sort adjacency for deterministic iteration.
-	for i := range n.adj {
-		sort.Slice(n.adj[i], func(a, b int) bool { return n.adj[i][a].to < n.adj[i][b].to })
+	for _, es := range n.adj {
+		slices.SortStableFunc(es, func(a, b edge) int { return a.to - b.to })
 	}
 	// All-pairs hop distances by BFS from every router.
 	n.dist = make([]int16, R*R)
@@ -324,51 +329,47 @@ func (n *Network) Build() {
 		}
 	}
 	// Canonical per-pair paths: for a<b the lexicographically smallest
-	// shortest path walked greedily from a; both directions use it.
-	n.pairPath = make([][]int32, R*R)
+	// shortest path walked greedily from a, which is the fallback tree's
+	// own walk toward b; both directions use it. One pass sizes the arena,
+	// the second fills it.
+	pairs := R * (R - 1) / 2
+	total := 0
+	for a := 0; a < R; a++ {
+		for _, d := range n.dist[a*R+a+1 : a*R+R] {
+			total += int(d) + 1 // a disconnected pair (-1) adds nothing
+		}
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("netsim: %d routers need %d path entries, more than an int32 offset holds", R, total))
+	}
+	n.pathArena = make([]int32, 0, total)
+	n.pathOff = make([]int32, pairs+1)
+	k := 0
 	for a := 0; a < R; a++ {
 		for b := a + 1; b < R; b++ {
-			if n.dist[a*R+b] < 0 {
-				continue
-			}
-			d := int(n.dist[a*R+b])
-			path := make([]int32, 0, d+1)
-			cur := int32(a)
-			path = append(path, cur)
-			for cur != int32(b) {
-				dc := n.dist[b*R+int(cur)]
-				for _, e := range n.adj[cur] {
-					if n.dist[b*R+e.to] == dc-1 {
-						cur = int32(e.to)
-						break
-					}
+			if n.dist[a*R+b] >= 0 {
+				cur := int32(a)
+				n.pathArena = append(n.pathArena, cur)
+				for cur != int32(b) {
+					cur = n.nextHop[int(cur)*R+b]
+					n.pathArena = append(n.pathArena, cur)
 				}
-				path = append(path, cur)
 			}
-			n.pairPath[a*R+b] = path
+			k++
+			n.pathOff[k] = int32(len(n.pathArena))
 		}
 	}
 	n.built = true
 }
 
-// pairPathFor returns the canonical path from a to b (oriented a->b).
-func (n *Network) pairPathFor(a, b int) []int32 {
+// pairPath returns the canonical path between routers lo < hi, oriented
+// lo->hi, as a window of the arena (empty if disconnected).
+//
+//repolint:hotpath
+func (n *Network) pairPath(lo, hi int) []int32 {
 	R := len(n.routers)
-	if a == b {
-		return nil
-	}
-	if a < b {
-		return n.pairPath[a*R+b]
-	}
-	fwd := n.pairPath[b*R+a]
-	if fwd == nil {
-		return nil
-	}
-	rev := make([]int32, len(fwd))
-	for i, v := range fwd {
-		rev[len(fwd)-1-i] = v
-	}
-	return rev
+	k := lo*(2*R-lo-1)/2 + hi - lo - 1
+	return n.pathArena[n.pathOff[k]:n.pathOff[k+1]]
 }
 
 // nextToward picks the next hop at router cur for a packet whose source
@@ -382,17 +383,15 @@ func (n *Network) pairPathFor(a, b int) []int32 {
 //
 //repolint:hotpath
 func (n *Network) nextToward(cur *Router, srcHome, dstHome *Router) *Router {
-	R := len(n.routers)
 	if srcHome != nil && dstHome.ID < srcHome.ID {
-		lo, hi := dstHome.ID, srcHome.ID
-		path := n.pairPath[lo*R+hi]
+		path := n.pairPath(dstHome.ID, srcHome.ID)
 		for i := 1; i < len(path); i++ {
 			if path[i] == int32(cur.ID) {
 				return n.routers[path[i-1]]
 			}
 		}
 	}
-	nh := n.nextHop[cur.ID*R+dstHome.ID]
+	nh := n.nextHop[cur.ID*len(n.routers)+dstHome.ID]
 	if nh < 0 {
 		return nil
 	}
@@ -400,30 +399,53 @@ func (n *Network) nextToward(cur *Router, srcHome, dstHome *Router) *Router {
 }
 
 // PathRouters returns the canonical router path between two routers,
-// inclusive of both endpoints, or nil if disconnected.
+// inclusive of both endpoints, or nil if disconnected. From the higher ID
+// to the lower it reads the stored path backwards.
 func (n *Network) PathRouters(a, b *Router) []*Router {
 	if !n.built {
 		panic("netsim: Build not called")
 	}
-	ids := n.pairPathFor(a.ID, b.ID)
-	if ids == nil {
+	if a == b {
+		return nil
+	}
+	lo, hi := a.ID, b.ID
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	ids := n.pairPath(lo, hi)
+	if len(ids) == 0 {
 		return nil
 	}
 	path := make([]*Router, len(ids))
 	for i, v := range ids {
 		path[i] = n.routers[v]
 	}
+	if a.ID > b.ID {
+		slices.Reverse(path)
+	}
 	return path
 }
 
-// linkLatency returns the latency of the direct link a->b.
+// linkLatency returns the latency of the direct link a->b. Forwarding only
+// ever crosses links (policies must name an adjacent router), so a
+// missing one is a wiring bug.
 func (n *Network) linkLatency(a, b int) time.Duration {
 	for _, e := range n.adj[a] {
 		if e.to == b {
 			return e.latency
 		}
 	}
-	return time.Millisecond
+	panic(fmt.Sprintf("netsim: no link %s -> %s", n.routers[a].Name, n.routers[b].Name))
+}
+
+// Linked reports whether routers a and b share a direct link.
+func (n *Network) Linked(a, b *Router) bool {
+	for _, e := range n.adj[a.ID] {
+		if e.to == b.ID {
+			return true
+		}
+	}
+	return false
 }
 
 // SendFromHost injects a packet originating at host h.

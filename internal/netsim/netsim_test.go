@@ -227,6 +227,20 @@ func TestDisconnectedDrops(t *testing.T) {
 	}
 }
 
+// A policy that names a router with no link to it is a wiring bug:
+// forwarding must panic, not invent a latency.
+func TestPolicyToUnlinkedRouterPanics(t *testing.T) {
+	eng, _, client, server, routers := lineNetwork(t, 3)
+	routers[0].SetPolicy(func(netip.Addr) (*Router, bool) { return routers[2], true })
+	client.Send(netpkt.NewUDP(client.Addr(), server.Addr(), &netpkt.UDPDatagram{SrcPort: 1, DstPort: 2}))
+	defer func() {
+		if recover() == nil {
+			t.Error("forwarding across a missing link must panic")
+		}
+	}()
+	eng.Run()
+}
+
 func TestDeadPrefixAddressDrops(t *testing.T) {
 	eng, n, client, _, routers := lineNetwork(t, 4)
 	n.ClaimPrefix(netip.MustParsePrefix("203.0.114.0/24"), routers[3])

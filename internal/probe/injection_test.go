@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dnssim"
 	"repro/internal/ispnet"
 	"repro/internal/middlebox"
 	"repro/internal/websim"
@@ -101,5 +100,4 @@ func TestCleanResolversHonest(t *testing.T) {
 			t.Errorf("%s: local %v != public %v for %s", name, local[0], public[0], d)
 		}
 	}
-	_ = dnssim.Poison{}
 }
